@@ -265,23 +265,23 @@ pub fn cascade_ablation(scale: &Scale) -> Table {
     table
 }
 
-/// Ablation G: the dense/SIMD kernel paths vs the sparse originals.
+/// Ablation G: the dense cascade kernels vs the sparse originals.
 ///
-/// Micro-benchmarks the three `BDist` kernel paths (the sparse SoA merge,
-/// the arena lookup with the scalar accumulator, and the explicitly
-/// chunked 8-lane accumulator) plus the hot-path dispatch, and the two
-/// stage −1 postings merges (k-way heap vs dense scatter), on the same
-/// query × dataset sweep — asserting bit-identical checksums across every
+/// Micro-benchmarks the two `BDist` kernel paths (the sparse SoA merge and
+/// the arena's dense lookup the hot path runs) and the two stage −1
+/// postings merges (k-way heap vs dense scatter), on the same query ×
+/// dataset sweep — asserting bit-identical checksums across every
 /// variant. The engine rows then report the per-stage µs the batched
-/// arena-order sweeps actually achieve end to end.
+/// arena-order sweeps actually achieve end to end. (The id is historical:
+/// an explicitly chunked 8-lane variant measured within noise of the
+/// dense kernel and was removed.)
 pub fn simd_kernel_ablation(scale: &Scale) -> Table {
     use std::hint::black_box;
-    use treesim_core::dense::{shared_mass_lookup_chunked, shared_mass_lookup_scalar};
     use treesim_core::{DenseQuery, InvertedFileIndex, VectorArena};
 
     let mut table = Table::new(
         "ablation-simd",
-        "Ablation: dense/SIMD kernels vs sparse originals (synthetic, q=2)",
+        "Ablation: dense kernels vs sparse originals (synthetic, q=2)",
         &["kernel", "calls", "total µs", "checksum"],
     );
     let forest = synthetic(scale);
@@ -325,31 +325,10 @@ pub fn simd_kernel_ablation(scale: &Scale) -> Table {
     let sparse = time_sweep("bdist sparse SoA merge", &mut |qi, raw| {
         vectors[query_ids[qi].index()].bdist(&vectors[raw as usize])
     });
-    let lookup_bdist = |qi: usize, raw: u32, mass: u64| {
-        dense_queries[qi].total() + u64::from(arena.tree_size(raw)) - 2 * mass
-    };
-    let scalar = time_sweep("bdist arena lookup (scalar)", &mut |qi, raw| {
-        let (ids, counts) = arena.tree_entries(raw);
-        lookup_bdist(
-            qi,
-            raw,
-            shared_mass_lookup_scalar(dense_queries[qi].lookup(), ids, counts),
-        )
-    });
-    let chunked = time_sweep("bdist arena lookup (chunked x8)", &mut |qi, raw| {
-        let (ids, counts) = arena.tree_entries(raw);
-        lookup_bdist(
-            qi,
-            raw,
-            shared_mass_lookup_chunked(dense_queries[qi].lookup(), ids, counts),
-        )
-    });
-    let dispatch = time_sweep("bdist arena dispatch (hot path)", &mut |qi, raw| {
+    let dense = time_sweep("bdist arena dense lookup", &mut |qi, raw| {
         arena.bdist(raw, &dense_queries[qi])
     });
-    assert_eq!(sparse, scalar, "scalar lookup kernel diverged");
-    assert_eq!(sparse, chunked, "chunked lookup kernel diverged");
-    assert_eq!(sparse, dispatch, "dispatched kernel diverged");
+    assert_eq!(sparse, dense, "dense lookup kernel diverged");
 
     // The stage −1 postings merge: k-way heap (the sparse original) vs the
     // dense scatter that replaced it, over the same per-query run sets.
@@ -430,19 +409,9 @@ pub fn simd_kernel_ablation(scale: &Scale) -> Table {
                 .join("; ")
         ));
     }
-    table.push_note(format!(
-        "all kernel variants are asserted bit-identical (equal checksums); the hot-path dispatch compiled to the {} kernel in this build (simd feature {}); merge rows time one whole k-way merge per query",
-        if treesim_core::dense::SIMD_DISPATCH {
-            "chunked 8-lane"
-        } else {
-            "scalar"
-        },
-        if treesim_core::dense::SIMD_DISPATCH {
-            "on"
-        } else {
-            "off"
-        },
-    ));
+    table.push_note(
+        "all kernel variants are asserted bit-identical (equal checksums); merge rows time one whole k-way merge per query",
+    );
     table
 }
 
@@ -537,64 +506,6 @@ pub fn postings_ablation(scale: &Scale) -> Table {
     table
 }
 
-/// Label-skewed synthetic data: many labels, aggressive decay mutation, so
-/// per-tree label histograms are discriminative (the regime where the
-/// histogram bound can pay for itself).
-fn label_skewed(scale: &Scale) -> Forest {
-    generate(&SyntheticConfig {
-        fanout: Normal::new(3.0, 0.8),
-        size: Normal::new(30.0, 5.0),
-        label_count: 64,
-        decay: 0.4,
-        seed_count: 6,
-        tree_count: scale.dataset_size,
-        rng_seed: scale.rng_seed ^ 0x5eed,
-    })
-}
-
-/// Ablation F: the label-histogram bound as a built-in cascade stage.
-///
-/// [`PostingsFilter::with_histogram`] inserts a `histo` stage between
-/// `size` and `bdist`. On label-skewed data this measures how many
-/// candidates the O(bins) histogram intersection removes before the more
-/// expensive `bdist` merge runs — the evidence for (or against) wiring it
-/// into the default cascade (recorded in EXPERIMENTS.md).
-pub fn histo_stage_ablation(scale: &Scale) -> Table {
-    let mut table = Table::new(
-        "ablation-histo",
-        "Ablation: label-histogram stage on label-skewed data",
-        &[
-            "engine",
-            "workload",
-            "stage",
-            "avg bounds",
-            "avg pruned",
-            "ms",
-        ],
-    );
-    let forest = label_skewed(scale);
-    let query_ids = sample_queries(&forest, scale, 0x815);
-    let (_, tau) = estimate_range_radius(&forest, scale, 0x815);
-    let k = scale.knn_k();
-
-    let plain_engine = SearchEngine::new(&forest, PostingsFilter::build(&forest, 2));
-    let histo_engine = SearchEngine::new(&forest, PostingsFilter::with_histogram(&forest, 2));
-    for (workload, mode) in [
-        (format!("knn k={k}"), QueryMode::Knn(k)),
-        (format!("range τ={tau}"), QueryMode::Range(tau)),
-    ] {
-        let plain = run_workload(&plain_engine, &query_ids, mode);
-        let with_histo = run_workload(&histo_engine, &query_ids, mode);
-        push_funnel_rows(&mut table, "Postings", &workload, &plain);
-        push_funnel_rows(&mut table, "Postings+histo", &workload, &with_histo);
-    }
-    table.push_note(format!(
-        "dataset = {} trees (L64 D0.4 — label-skewed); the histo stage sits between size and bdist: its avg pruned column is the work the bdist merge is spared; verdict recorded in EXPERIMENTS.md",
-        forest.len()
-    ));
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,49 +572,17 @@ mod tests {
     }
 
     #[test]
-    fn histo_ablation_measures_the_extra_stage() {
-        let table = histo_stage_ablation(&Scale::smoke());
-        // 2 workloads × (4 + 5 stages).
-        assert_eq!(table.rows.len(), 18);
-        let stages = |engine: &str, workload_prefix: &str| -> Vec<String> {
-            table
-                .rows
-                .iter()
-                .filter(|r| r[0] == engine && r[1].starts_with(workload_prefix))
-                .map(|r| r[2].clone())
-                .collect()
-        };
-        assert_eq!(
-            stages("Postings+histo", "range"),
-            vec!["postings", "size", "histo", "bdist", "propt"]
-        );
-        // On the deterministic range sweep the histo stage can only spare
-        // bdist work, never add to it.
-        let bdist = |engine: &str| -> f64 {
-            table
-                .rows
-                .iter()
-                .find(|r| r[0] == engine && r[1].starts_with("range") && r[2] == "bdist")
-                .expect("bdist row present")[3]
-                .parse()
-                .unwrap()
-        };
-        assert!(bdist("Postings+histo") <= bdist("Postings") + 1e-9);
-    }
-
-    #[test]
     fn simd_ablation_kernels_are_bit_identical() {
         let table = simd_kernel_ablation(&Scale::smoke());
-        // 4 bdist kernel rows + 2 merge rows + 2 workloads × 4 postings
+        // 2 bdist kernel rows + 2 merge rows + 2 workloads × 4 postings
         // cascade stages.
-        assert_eq!(table.rows.len(), 14);
-        // Bit-identity across every bdist kernel path: equal checksums
+        assert_eq!(table.rows.len(), 12);
+        // Bit-identity across both bdist kernel paths: equal checksums
         // (the function itself asserts; the table must show it too).
-        let checksums: Vec<&String> = table.rows.iter().take(4).map(|row| &row[3]).collect();
-        assert!(checksums.iter().all(|&c| c == checksums[0]));
+        assert_eq!(table.rows[0][3], table.rows[1][3]);
         // …and across the two postings merges.
-        assert_eq!(table.rows[4][3], table.rows[5][3]);
-        // The per-stage µs deltas ride in the notes, plus the dispatch note.
+        assert_eq!(table.rows[2][3], table.rows[3][3]);
+        // The per-stage µs deltas ride in the notes, plus the identity note.
         assert!(table.notes.iter().any(|n| n.contains("per-stage µs")));
         assert!(table.notes.iter().any(|n| n.contains("bit-identical")));
     }

@@ -43,7 +43,6 @@ pub fn run_figure(id: &str, scale: &Scale) -> Option<Table> {
         "ablation-scale" => experiments::ablation::scalability_ablation(scale),
         "ablation-cascade" => experiments::ablation::cascade_ablation(scale),
         "ablation-postings" => experiments::ablation::postings_ablation(scale),
-        "ablation-histo" => experiments::ablation::histo_stage_ablation(scale),
         "ablation-simd" => experiments::ablation::simd_kernel_ablation(scale),
         _ => return None,
     };
@@ -56,13 +55,12 @@ pub const ALL_FIGURES: [&str; 9] = [
 ];
 
 /// Extra ablation experiments beyond the paper (design-choice studies).
-pub const ABLATIONS: [&str; 7] = [
+pub const ABLATIONS: [&str; 6] = [
     "ablation-q",
     "ablation-bound",
     "ablation-scale",
     "ablation-cascade",
     "ablation-postings",
-    "ablation-histo",
     "ablation-simd",
 ];
 

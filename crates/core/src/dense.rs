@@ -5,22 +5,9 @@
 //! straight-line slice traversal: the id-scan is split from the
 //! count-accumulate, counts live in flat `u32` lanes, and the equal-run /
 //! tail cases reduce with branch-free `min`/`abs_diff` arithmetic that the
-//! compiler can autovectorize. [`shared_mass_lookup`] additionally has an
-//! explicitly chunked 8-lane variant selected by the `simd` cargo feature;
-//! both variants are always compiled and bit-identical (integer addition
-//! is associative, so lane-reordered sums are exact), which the
-//! `strict-checks` feature asserts on every dispatch.
+//! compiler can autovectorize.
 
 use crate::vocab::BranchId;
-
-/// Lane width of the chunked kernels: 8 × `u32` fills a 256-bit vector
-/// register, the widest unit portably available without `std::arch`
-/// (which `unsafe_code = "deny"` rules out anyway).
-pub const LANES: usize = 8;
-
-/// Whether [`shared_mass_lookup`] dispatches to the chunked kernel in this
-/// build (the `simd` cargo feature) — lets reports record which path ran.
-pub const SIMD_DISPATCH: bool = cfg!(feature = "simd");
 
 /// Sum of the counts of a sparse `(branch, count)` run — the tail term of
 /// the L1 merge, consumed in one pass without re-slicing.
@@ -99,13 +86,13 @@ pub fn bdist_soa(
 }
 
 /// Shared branch mass `Σ min(lookup[id], count)` of one tree's arena slice
-/// against a dense query lookup table — scalar reference kernel.
+/// against a dense query lookup table.
 ///
 /// Out-of-table ids (a query table only spans the dataset vocabulary)
 /// contribute zero, matching the sparse merge's treatment of unshared
 /// branches. The loop body is a gather + `min` + widen + add with no
 /// per-element branches, which is exactly the shape autovectorizers handle.
-pub fn shared_mass_lookup_scalar(lookup: &[u32], ids: &[BranchId], counts: &[u32]) -> u64 {
+pub fn shared_mass_lookup(lookup: &[u32], ids: &[BranchId], counts: &[u32]) -> u64 {
     debug_assert_eq!(ids.len(), counts.len());
     ids.iter()
         .zip(counts)
@@ -114,45 +101,6 @@ pub fn shared_mass_lookup_scalar(lookup: &[u32], ids: &[BranchId], counts: &[u32
             u64::from(query.min(count))
         })
         .sum()
-}
-
-/// [`shared_mass_lookup_scalar`] with an explicit 8-lane chunked main loop
-/// ([`LANES`] × `u32`) and a scalar tail.
-///
-/// Each lane keeps its own `u64` accumulator, reduced once at the end —
-/// unsigned integer addition is associative and the masses fit `u64` by
-/// construction (counts are node counts), so the lane-reordered sum is
-/// bit-identical to the scalar left-to-right sum.
-pub fn shared_mass_lookup_chunked(lookup: &[u32], ids: &[BranchId], counts: &[u32]) -> u64 {
-    debug_assert_eq!(ids.len(), counts.len());
-    let mut lanes = [0u64; LANES];
-    let mut id_chunks = ids.chunks_exact(LANES);
-    let mut count_chunks = counts.chunks_exact(LANES);
-    for (id_chunk, count_chunk) in (&mut id_chunks).zip(&mut count_chunks) {
-        for ((&id, &count), lane) in id_chunk.iter().zip(count_chunk).zip(lanes.iter_mut()) {
-            let query = lookup.get(id.index()).copied().unwrap_or(0);
-            *lane += u64::from(query.min(count));
-        }
-    }
-    let tail = shared_mass_lookup_scalar(lookup, id_chunks.remainder(), count_chunks.remainder());
-    lanes.iter().sum::<u64>() + tail
-}
-
-/// The shared-mass kernel the hot paths call: the chunked variant under the
-/// `simd` feature, the scalar reference otherwise. Under `strict-checks`
-/// the two are asserted equal on every call.
-pub fn shared_mass_lookup(lookup: &[u32], ids: &[BranchId], counts: &[u32]) -> u64 {
-    #[cfg(feature = "simd")]
-    let mass = shared_mass_lookup_chunked(lookup, ids, counts);
-    #[cfg(not(feature = "simd"))]
-    let mass = shared_mass_lookup_scalar(lookup, ids, counts);
-    #[cfg(feature = "strict-checks")]
-    debug_assert_eq!(
-        mass,
-        shared_mass_lookup_scalar(lookup, ids, counts),
-        "chunked shared-mass kernel diverged from the scalar reference"
-    );
-    mass
 }
 
 #[cfg(test)]
@@ -187,26 +135,5 @@ mod tests {
         assert_eq!(bdist_merge(&a_pairs, &[]), 10);
         assert_eq!(bdist_merge(&[], &[]), 0);
         assert_eq!(bdist_soa(&[], &[], &b_ids, &b_counts), 11);
-    }
-
-    #[test]
-    fn chunked_shared_mass_is_bit_identical_to_scalar() {
-        // Cover: exact multiple of the lane width, a ragged tail, empty
-        // slices, and out-of-table ids (OOV) mixed in.
-        let lookup: Vec<u32> = (0..37).map(|i| (i * 7 + 3) % 11).collect();
-        for len in [0usize, 1, 7, 8, 9, 16, 23, 64] {
-            let tree_ids: Vec<BranchId> = (0..len)
-                .map(|i| BranchId((i as u32 * 5 + 1) % 50))
-                .collect();
-            let counts: Vec<u32> = (0..len).map(|i| (i as u32 * 3 + 1) % 9 + 1).collect();
-            let scalar = shared_mass_lookup_scalar(&lookup, &tree_ids, &counts);
-            let chunked = shared_mass_lookup_chunked(&lookup, &tree_ids, &counts);
-            assert_eq!(scalar, chunked, "len={len}");
-            assert_eq!(shared_mass_lookup(&lookup, &tree_ids, &counts), scalar);
-        }
-        // A fully out-of-table slice shares nothing.
-        let oov = ids(&[100, 200, 300, 400, 500, 600, 700, 800, 900]);
-        let counts = vec![5u32; oov.len()];
-        assert_eq!(shared_mass_lookup_chunked(&lookup, &oov, &counts), 0);
     }
 }

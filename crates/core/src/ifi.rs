@@ -79,7 +79,7 @@ where
 
 /// The original `BinaryHeap` k-way formulation of [`merge_shared_mass`],
 /// kept as the allocation-free-per-tree reference: property tests and the
-/// `strict-checks` assertions in the index paths compare the dense scatter
+/// postings filter's `strict-checks` assertion compare the dense scatter
 /// kernel against it, and the `ablation-simd` bench reports both.
 pub fn merge_shared_mass_sparse<I>(runs: Vec<(u32, I)>) -> Vec<(TreeId, u64)>
 where
@@ -328,46 +328,6 @@ impl InvertedFileIndex {
             .collect()
     }
 
-    /// Per-tree shared branch mass `Σ_b min(count_q(b), count_t(b))`
-    /// between a query's branch multiset and every indexed tree, via a
-    /// k-way merge of the query branches' inverted lists
-    /// ([`merge_shared_mass`]).
-    ///
-    /// `query_counts` maps each of the query's **in-vocabulary** branches
-    /// to its occurrence count; out-of-vocabulary query branches have
-    /// empty inverted lists by definition and contribute zero shared
-    /// mass, so omitting them is exact. `BranchId`s past the vocabulary
-    /// (a [`crate::vocab::QueryVocab`] extension) are skipped for the
-    /// same reason. The result is sorted by tree id and omits trees that
-    /// share no branch with the query.
-    pub fn shared_branch_mass(&self, query_counts: &[(BranchId, u32)]) -> Vec<(TreeId, u64)> {
-        let runs: Vec<(u32, _)> = query_counts
-            .iter()
-            .filter(|(branch, _)| branch.index() < self.postings.len())
-            .map(|&(branch, count)| {
-                let list = self.postings(branch);
-                (count, list.iter().map(|p| (p.tree, p.count())))
-            })
-            .collect();
-        let merged = merge_shared_mass(self.tree_count, runs);
-        #[cfg(feature = "strict-checks")]
-        debug_assert_eq!(
-            merged,
-            merge_shared_mass_sparse(
-                query_counts
-                    .iter()
-                    .filter(|(branch, _)| branch.index() < self.postings.len())
-                    .map(|&(branch, count)| {
-                        let list = self.postings(branch);
-                        (count, list.iter().map(|p| (p.tree, p.count())))
-                    })
-                    .collect(),
-            ),
-            "dense shared-mass scatter diverged from the k-way heap merge"
-        );
-        merged
-    }
-
     /// Total number of postings (≈ total nodes in the dataset) — the
     /// `O(Σ|Tᵢ|)` space bound of §4.4.
     pub fn posting_count(&self) -> usize {
@@ -475,67 +435,34 @@ mod tests {
         }
     }
 
-    /// In-vocabulary branch counts of `tree` under `index`'s frozen
-    /// vocabulary, plus the total branch mass (= node count, which also
-    /// covers out-of-vocabulary branches).
-    fn query_counts(
-        index: &InvertedFileIndex,
-        tree: &treesim_tree::Tree,
-    ) -> (Vec<(BranchId, u32)>, u64) {
-        let mut query_vocab = crate::vocab::QueryVocab::new(index.vocab());
-        let vector = PositionalVector::build_query(tree, &mut query_vocab);
-        let base = index.vocab().len();
-        let counts = vector
-            .iter_counts()
-            .filter(|(branch, _)| branch.index() < base)
-            .collect();
-        (counts, u64::from(vector.tree_size()))
-    }
-
     #[test]
-    fn shared_mass_recovers_exact_bdist() {
+    fn merged_postings_recover_exact_bdist() {
+        // The shared-mass identity over real posting lists:
+        // |BRV(q)| + |BRV(t)| − 2·shared(q,t) = BDist(q,t) for every pair.
         let forest = forest();
         let index = InvertedFileIndex::build(&forest, 2);
         let vectors = index.positional_vectors();
-        for (query_id, query_tree) in forest.iter() {
-            let (counts, total_q) = query_counts(&index, query_tree);
-            let shared = index.shared_branch_mass(&counts);
+        for (query_id, _) in forest.iter() {
+            let query = &vectors[query_id.index()];
+            let runs: Vec<(u32, _)> = query
+                .iter_counts()
+                .map(|(branch, count)| {
+                    let list = index.postings(branch);
+                    (count, list.iter().map(|p| (p.tree, p.count())))
+                })
+                .collect();
+            let shared = merge_shared_mass(index.tree_count(), runs);
             assert!(shared.windows(2).all(|w| w[0].0 < w[1].0), "unsorted");
             for (tree_id, _) in forest.iter() {
                 let mass = shared
                     .binary_search_by_key(&tree_id, |&(t, _)| t)
                     .map(|i| shared[i].1)
                     .unwrap_or(0);
-                let est = total_q + u64::from(index.tree_size(tree_id)) - 2 * mass;
-                let exact = vectors[query_id.index()].bdist(&vectors[tree_id.index()]);
+                let est = u64::from(query.tree_size() + index.tree_size(tree_id)) - 2 * mass;
+                let exact = query.bdist(&vectors[tree_id.index()]);
                 assert_eq!(est, exact, "query {query_id:?} vs {tree_id:?}");
             }
         }
-    }
-
-    #[test]
-    fn shared_mass_skips_oov_and_unshared_trees() {
-        let mut forest = forest();
-        // A tree sharing no branch with the others.
-        forest.parse_bracket("p(q r)").unwrap();
-        let index = {
-            // Index only the first three trees; the fourth becomes a
-            // query whose branches are 100% out of vocabulary.
-            let mut small = Forest::new();
-            *small.interner_mut() = forest.interner().clone();
-            for (_, tree) in forest.iter().take(3) {
-                small.push(tree.clone());
-            }
-            InvertedFileIndex::build(&small, 2)
-        };
-        let oov_query = forest.tree(TreeId(3));
-        let (counts, total) = query_counts(&index, oov_query);
-        assert!(counts.is_empty(), "every query branch should be novel");
-        assert_eq!(total, 3);
-        assert!(index.shared_branch_mass(&counts).is_empty());
-        // Ids beyond the vocabulary are ignored rather than panicking.
-        let bogus = vec![(BranchId(index.vocab().len() as u32 + 7), 2)];
-        assert!(index.shared_branch_mass(&bogus).is_empty());
     }
 
     #[test]

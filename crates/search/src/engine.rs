@@ -194,10 +194,13 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
         }
     }
 
-    /// Lower bounds count operations; one operation costs at least this.
-    #[inline]
-    fn bound_scale(&self) -> u64 {
-        self.cost.min_operation_cost()
+    /// The shared query core over this engine's filter, tables and cost.
+    pub(crate) fn core(&self) -> QueryCore<'_, F, C> {
+        QueryCore {
+            filter: &self.filter,
+            infos: &self.infos,
+            cost: &self.cost,
+        }
     }
 
     /// The underlying dataset.
@@ -210,6 +213,178 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
         &self.filter
     }
 
+    /// k-nearest-neighbor query (Algorithm 2). Returns up to `k` neighbors
+    /// in ascending distance order — ties broken by **smallest tree id**,
+    /// a guarantee the tie-handling tests pin down — and the query
+    /// statistics.
+    ///
+    /// Candidates escalate lazily through the filter's bound cascade: an
+    /// escalation heap keyed by `(bound, stage, id)` always advances the
+    /// candidate with the smallest outstanding bound, either sharpening
+    /// its bound with the next cascade stage or (once fully bounded)
+    /// refining it. When the smallest outstanding bound exceeds the
+    /// current k-th distance, no remaining candidate — at any stage — can
+    /// enter the result, and the search stops. The comparison is strict
+    /// (`>`), so candidates whose bound *equals* the current k-th distance
+    /// are still refined; dropping them could lose a tied neighbor with a
+    /// smaller id.
+    pub fn knn(&self, query: &Tree, k: usize) -> (Vec<Neighbor>, SearchStats) {
+        self.knn_observed(query, k, &mut ())
+    }
+
+    /// The observed k-NN entry point: wraps [`QueryCore::knn`]
+    /// with the query span, the `engine.knn.*` metrics flush and the
+    /// flight record deposit. The production path passes `&mut ()`,
+    /// EXPLAIN passes a recording observer — the algorithm is
+    /// byte-for-byte the same either way.
+    pub(crate) fn knn_observed<O: QueryObserver>(
+        &self,
+        query: &Tree,
+        k: usize,
+        observer: &mut O,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        // The trace guard is declared before the span so the span closes
+        // (and deposits itself) before the guard finalizes the trace.
+        // Inside a batch/sharded/nested query this is inert — the query
+        // joins the enclosing trace instead of starting its own.
+        let _trace = treesim_obs::trace::start_trace();
+        let _span = treesim_obs::span!("engine.knn", k = k, dataset = self.forest.len());
+        let wall_start = Instant::now();
+        recorder::propt_iters_take(); // discard any stale accumulation
+        let (results, stats, zs_nodes) = self.core().knn(query, k, observer);
+        stats.record_metrics("engine.knn");
+        emit_record(
+            QueryKind::Knn,
+            k as u64,
+            &stats,
+            &results,
+            zs_nodes,
+            wall_start.elapsed(),
+        );
+        (results, stats)
+    }
+
+    /// Range query: all trees within edit distance `tau` of `query`,
+    /// ascending by distance (ties by tree id).
+    ///
+    /// The candidate set is narrowed stage by stage: stage `s` drops every
+    /// candidate whose stage-`s` bound already exceeds `τ`, and only the
+    /// final-stage survivors are refined. The final stage uses the
+    /// filter's sharpest range predicate ([`Filter::prunes_range`], which
+    /// for the positional filter adds the Proposition 4.2 test at
+    /// `pr = τ` on top of the `propt` bound).
+    pub fn range(&self, query: &Tree, tau: u32) -> (Vec<Neighbor>, SearchStats) {
+        self.range_observed(query, tau, &mut ())
+    }
+
+    /// The observed range entry point, mirroring
+    /// [`SearchEngine::knn_observed`]: emission around
+    /// [`QueryCore::range`].
+    pub(crate) fn range_observed<O: QueryObserver>(
+        &self,
+        query: &Tree,
+        tau: u32,
+        observer: &mut O,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        // Trace before span, as in `knn_observed` (drop order matters).
+        let _trace = treesim_obs::trace::start_trace();
+        let _span = treesim_obs::span!("engine.range", tau = tau, dataset = self.forest.len());
+        let wall_start = Instant::now();
+        recorder::propt_iters_take(); // discard any stale accumulation
+        let (results, stats, zs_nodes) = self.core().range(query, tau, observer);
+        stats.record_metrics("engine.range");
+        emit_record(
+            QueryKind::Range,
+            u64::from(tau),
+            &stats,
+            &results,
+            zs_nodes,
+            wall_start.elapsed(),
+        );
+        (results, stats)
+    }
+
+    /// Cascade stage names, coarsest first.
+    fn stage_names(&self) -> Vec<&'static str> {
+        (0..self.filter.stages())
+            .map(|s| self.filter.stage_name(s))
+            .collect()
+    }
+
+    /// EXPLAIN for a k-NN query: replays [`SearchEngine::knn`] through the
+    /// same core with a recording observer and returns a per-candidate
+    /// report — which stage pruned each dataset tree (and the bound value
+    /// that did it), or its refined distance. The report's `stats` and
+    /// `results` are identical to a production `knn` call, and the
+    /// per-candidate verdicts telescope exactly to the stats funnel
+    /// ([`crate::explain::ExplainReport::check_consistency`]).
+    ///
+    /// The replay runs the real query path, so it also updates the global
+    /// metrics registry and deposits a flight record.
+    pub fn explain_knn(&self, query: &Tree, k: usize) -> crate::explain::ExplainReport {
+        // Own the trace here (the replay's own start is then inert) so
+        // the id is still current when the report is assembled.
+        let trace = treesim_obs::trace::start_trace();
+        let trace_id = trace.id();
+        let mut observer = crate::explain::ExplainObserver::new();
+        let (results, stats) = self.knn_observed(query, k, &mut observer);
+        let candidates = observer.into_candidates(&results, |_| 0);
+        crate::explain::ExplainReport {
+            kind: "knn",
+            param: k as u64,
+            stats,
+            results,
+            stage_names: self.stage_names(),
+            candidates,
+            trace_id,
+        }
+    }
+
+    /// EXPLAIN for a range query; see [`SearchEngine::explain_knn`].
+    ///
+    /// The final cascade stage prunes through a predicate
+    /// ([`Filter::prunes_range`]) that certifies `EDist > τ` without
+    /// materializing a bound, so for predicate-pruned candidates the
+    /// report recomputes that stage's generic lower bound afterwards,
+    /// purely for display — the replay's statistics stay identical to a
+    /// production [`SearchEngine::range`] call.
+    pub fn explain_range(&self, query: &Tree, tau: u32) -> crate::explain::ExplainReport {
+        // Trace ownership as in `explain_knn`.
+        let trace = treesim_obs::trace::start_trace();
+        let trace_id = trace.id();
+        let mut observer = crate::explain::ExplainObserver::new();
+        let (results, stats) = self.range_observed(query, tau, &mut observer);
+        let scale = self.cost.min_operation_cost();
+        let last_stage = self.filter.stages() - 1;
+        let query_artifact = self.filter.prepare_query(query);
+        let candidates = observer.into_candidates(&results, |id| {
+            self.filter.stage_bound(&query_artifact, id, last_stage) * scale
+        });
+        crate::explain::ExplainReport {
+            kind: "range",
+            param: u64::from(tau),
+            stats,
+            results,
+            stage_names: self.stage_names(),
+            candidates,
+            trace_id,
+        }
+    }
+}
+
+/// The query core: what the k-NN and range algorithms need of an index —
+/// its filter, the per-tree Zhang–Shasha tables (one per indexed tree, so
+/// their count is the dataset size) and the cost model. [`SearchEngine`],
+/// [`crate::DynamicIndex`] and every shard of [`crate::ShardedEngine`]
+/// answer queries through this one core and add only their own emission
+/// (span, metric prefix, flight record) around it.
+pub(crate) struct QueryCore<'i, F, C> {
+    pub(crate) filter: &'i F,
+    pub(crate) infos: &'i [TreeInfo],
+    pub(crate) cost: &'i C,
+}
+
+impl<F: Filter, C: CostModel> QueryCore<'_, F, C> {
     /// Edit distance between `query_info` and dataset tree `id`, bounded
     /// by the caller's live `budget` (the range τ or the current k-th heap
     /// distance). Returns `Some(d)` with the exact distance iff `d ≤
@@ -242,7 +417,7 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
         trace_span.push_field("budget", || budget.to_string());
         let start = Instant::now();
         let (distance, bounded) =
-            bounded_zhang_shasha(query_info, data_info, &self.cost, budget, workspace);
+            bounded_zhang_shasha(query_info, data_info, self.cost, budget, workspace);
         treesim_obs::histogram!("refine.zs.us").record_duration(start.elapsed());
         trace_span.push_field("verdict", || match distance {
             Some(d) => format!("refined d={d}"),
@@ -253,7 +428,7 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
             let oracle = treesim_edit::zhang_shasha(
                 query_info,
                 data_info,
-                &self.cost,
+                self.cost,
                 &mut ZsWorkspace::new(),
             );
             match distance {
@@ -279,87 +454,41 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
         distance
     }
 
-    fn stage_accumulators(&self) -> Vec<StageStats> {
-        (0..self.filter.stages())
-            .map(|s| StageStats::named(self.filter.stage_name(s)))
-            .collect()
+    /// Fresh per-query stats: the dataset size and one named, zeroed
+    /// accumulator per cascade stage.
+    fn fresh_stats(&self) -> SearchStats {
+        SearchStats {
+            dataset_size: self.infos.len(),
+            stages: (0..self.filter.stages())
+                .map(|s| StageStats::named(self.filter.stage_name(s)))
+                .collect(),
+            ..Default::default()
+        }
     }
 
-    /// k-nearest-neighbor query (Algorithm 2). Returns up to `k` neighbors
-    /// in ascending distance order — ties broken by **smallest tree id**,
-    /// a guarantee the tie-handling tests pin down — and the query
-    /// statistics.
-    ///
-    /// Candidates escalate lazily through the filter's bound cascade: an
-    /// escalation heap keyed by `(bound, stage, id)` always advances the
-    /// candidate with the smallest outstanding bound, either sharpening
-    /// its bound with the next cascade stage or (once fully bounded)
-    /// refining it. When the smallest outstanding bound exceeds the
-    /// current k-th distance, no remaining candidate — at any stage — can
-    /// enter the result, and the search stops. The comparison is strict
-    /// (`>`), so candidates whose bound *equals* the current k-th distance
-    /// are still refined; dropping them could lose a tied neighbor with a
-    /// smaller id.
-    pub fn knn(&self, query: &Tree, k: usize) -> (Vec<Neighbor>, SearchStats) {
-        self.knn_observed(query, k, &mut ())
+    /// Every indexed tree id, ascending (= arena order).
+    fn all_ids(&self) -> Vec<TreeId> {
+        (0..self.infos.len() as u32).map(TreeId).collect()
     }
 
-    /// The observed k-NN entry point: wraps [`SearchEngine::knn_core`]
-    /// with the query span, the `engine.knn.*` metrics flush and the
-    /// flight record deposit. The production path passes `&mut ()`,
-    /// EXPLAIN passes a recording observer — the algorithm is
-    /// byte-for-byte the same either way.
-    pub(crate) fn knn_observed<O: QueryObserver>(
-        &self,
-        query: &Tree,
-        k: usize,
-        observer: &mut O,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        // The trace guard is declared before the span so the span closes
-        // (and deposits itself) before the guard finalizes the trace.
-        // Inside a batch/sharded/nested query this is inert — the query
-        // joins the enclosing trace instead of starting its own.
-        let _trace = treesim_obs::trace::start_trace();
-        let _span = treesim_obs::span!("engine.knn", k = k, dataset = self.forest.len());
-        let wall_start = Instant::now();
-        recorder::propt_iters_take(); // discard any stale accumulation
-        let (results, stats, zs_nodes) = self.knn_core(query, k, observer);
-        stats.record_metrics("engine.knn");
-        emit_record(
-            QueryKind::Knn,
-            k as u64,
-            &stats,
-            &results,
-            zs_nodes,
-            wall_start.elapsed(),
-        );
-        (results, stats)
-    }
-
-    /// The bare k-NN algorithm: answers the query and fills the per-query
-    /// [`SearchStats`], but emits **nothing** — no span, no registry
-    /// metrics, no flight record. [`SearchEngine::knn_observed`] adds the
-    /// emission for the single-engine path; the sharded engine runs this
-    /// core on per-shard worker threads and emits once for the merged
-    /// query. Also returns the total Zhang–Shasha problem size (nodes)
-    /// refined, for the flight record.
-    pub(crate) fn knn_core<O: QueryObserver>(
+    /// The bare k-NN algorithm (see [`SearchEngine::knn`]): answers the
+    /// query and fills the per-query [`SearchStats`], but emits
+    /// **nothing** — no span, no registry metrics, no flight record; each
+    /// caller adds its own emission around it. Also returns the total
+    /// Zhang–Shasha problem size (nodes) refined, for the flight record.
+    pub(crate) fn knn<O: QueryObserver>(
         &self,
         query: &Tree,
         k: usize,
         observer: &mut O,
     ) -> (Vec<Neighbor>, SearchStats, u64) {
-        let mut stats = SearchStats {
-            dataset_size: self.forest.len(),
-            stages: self.stage_accumulators(),
-            ..Default::default()
-        };
-        if k == 0 || self.forest.is_empty() {
+        let mut stats = self.fresh_stats();
+        if k == 0 || self.infos.is_empty() {
             return (Vec::new(), stats, 0);
         }
 
         let filter_start = Instant::now();
-        let scale = self.bound_scale();
+        let scale = self.cost.min_operation_cost();
         let stage_count = self.filter.stages();
         let query_artifact = self.filter.prepare_query(query);
 
@@ -369,19 +498,19 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
         // stage, id): of equally bounded entries the one with fewer stages
         // left runs first, reaching refinement sooner.
         let stage0_start = Instant::now();
-        let sweep: Vec<TreeId> = self.forest.iter().map(|(id, _)| id).collect();
+        let sweep = self.all_ids();
         let mut bounds: Vec<u64> = Vec::with_capacity(sweep.len());
         self.filter
             .stage_bound_batch(&query_artifact, &sweep, 0, &mut bounds);
         let mut escalation: BinaryHeap<Reverse<(u64, usize, TreeId)>> =
-            BinaryHeap::with_capacity(self.forest.len());
+            BinaryHeap::with_capacity(sweep.len());
         for (&id, &raw_bound) in sweep.iter().zip(&bounds) {
             let bound = raw_bound * scale;
             observer.on_stage_bound(id, 0, bound);
             escalation.push(Reverse((bound, 1, id)));
         }
         if let Some(stage0) = stats.stages.first_mut() {
-            stage0.evaluated = self.forest.len();
+            stage0.evaluated = sweep.len();
             stage0.time = stage0_start.elapsed();
         }
 
@@ -459,67 +588,23 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
         (results, stats, zs_nodes)
     }
 
-    /// Range query: all trees within edit distance `tau` of `query`,
-    /// ascending by distance (ties by tree id).
-    ///
-    /// The candidate set is narrowed stage by stage: stage `s` drops every
-    /// candidate whose stage-`s` bound already exceeds `τ`, and only the
-    /// final-stage survivors are refined. The final stage uses the
-    /// filter's sharpest range predicate ([`Filter::prunes_range`], which
-    /// for the positional filter adds the Proposition 4.2 test at
-    /// `pr = τ` on top of the `propt` bound).
-    pub fn range(&self, query: &Tree, tau: u32) -> (Vec<Neighbor>, SearchStats) {
-        self.range_observed(query, tau, &mut ())
-    }
-
-    /// The observed range entry point, mirroring
-    /// [`SearchEngine::knn_observed`]: emission around
-    /// [`SearchEngine::range_core`].
-    pub(crate) fn range_observed<O: QueryObserver>(
-        &self,
-        query: &Tree,
-        tau: u32,
-        observer: &mut O,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        // Trace before span, as in `knn_observed` (drop order matters).
-        let _trace = treesim_obs::trace::start_trace();
-        let _span = treesim_obs::span!("engine.range", tau = tau, dataset = self.forest.len());
-        let wall_start = Instant::now();
-        recorder::propt_iters_take(); // discard any stale accumulation
-        let (results, stats, zs_nodes) = self.range_core(query, tau, observer);
-        stats.record_metrics("engine.range");
-        emit_record(
-            QueryKind::Range,
-            u64::from(tau),
-            &stats,
-            &results,
-            zs_nodes,
-            wall_start.elapsed(),
-        );
-        (results, stats)
-    }
-
-    /// The bare range algorithm — emission-free like
-    /// [`SearchEngine::knn_core`], for the same sharded reuse.
-    pub(crate) fn range_core<O: QueryObserver>(
+    /// The bare range algorithm (see [`SearchEngine::range`]) —
+    /// emission-free like [`QueryCore::knn`].
+    pub(crate) fn range<O: QueryObserver>(
         &self,
         query: &Tree,
         tau: u32,
         observer: &mut O,
     ) -> (Vec<Neighbor>, SearchStats, u64) {
-        let mut stats = SearchStats {
-            dataset_size: self.forest.len(),
-            stages: self.stage_accumulators(),
-            ..Default::default()
-        };
+        let mut stats = self.fresh_stats();
         let filter_start = Instant::now();
-        let scale = self.bound_scale();
+        let scale = self.cost.min_operation_cost();
         let stage_count = self.filter.stages();
         let query_artifact = self.filter.prepare_query(query);
         // Filters prune in operation counts: EDist_cost ≥ ops · scale, so a
         // candidate is safe to drop when ops > ⌊tau / scale⌋.
-        let ops_tau = u32::try_from(u64::from(tau) / self.bound_scale()).unwrap_or(u32::MAX);
-        let mut candidates: Vec<TreeId> = self.forest.iter().map(|(id, _)| id).collect();
+        let ops_tau = u32::try_from(u64::from(tau) / scale).unwrap_or(u32::MAX);
+        let mut candidates = self.all_ids();
         let mut bounds: Vec<u64> = Vec::new();
         for stage in 0..stage_count {
             // Trace-only stage span (the `cascade.<stage>.us` histograms
@@ -596,73 +681,6 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
         results.sort_unstable_by_key(|n| (n.distance, n.tree));
         stats.results = results.len();
         (results, stats, zs_nodes)
-    }
-
-    /// Cascade stage names, coarsest first.
-    fn stage_names(&self) -> Vec<&'static str> {
-        (0..self.filter.stages())
-            .map(|s| self.filter.stage_name(s))
-            .collect()
-    }
-
-    /// EXPLAIN for a k-NN query: replays [`SearchEngine::knn`] through the
-    /// same core with a recording observer and returns a per-candidate
-    /// report — which stage pruned each dataset tree (and the bound value
-    /// that did it), or its refined distance. The report's `stats` and
-    /// `results` are identical to a production `knn` call, and the
-    /// per-candidate verdicts telescope exactly to the stats funnel
-    /// ([`crate::explain::ExplainReport::check_consistency`]).
-    ///
-    /// The replay runs the real query path, so it also updates the global
-    /// metrics registry and deposits a flight record.
-    pub fn explain_knn(&self, query: &Tree, k: usize) -> crate::explain::ExplainReport {
-        // Own the trace here (the replay's own start is then inert) so
-        // the id is still current when the report is assembled.
-        let trace = treesim_obs::trace::start_trace();
-        let trace_id = trace.id();
-        let mut observer = crate::explain::ExplainObserver::new();
-        let (results, stats) = self.knn_observed(query, k, &mut observer);
-        let candidates = observer.into_candidates(&results, |_| 0);
-        crate::explain::ExplainReport {
-            kind: "knn",
-            param: k as u64,
-            stats,
-            results,
-            stage_names: self.stage_names(),
-            candidates,
-            trace_id,
-        }
-    }
-
-    /// EXPLAIN for a range query; see [`SearchEngine::explain_knn`].
-    ///
-    /// The final cascade stage prunes through a predicate
-    /// ([`Filter::prunes_range`]) that certifies `EDist > τ` without
-    /// materializing a bound, so for predicate-pruned candidates the
-    /// report recomputes that stage's generic lower bound afterwards,
-    /// purely for display — the replay's statistics stay identical to a
-    /// production [`SearchEngine::range`] call.
-    pub fn explain_range(&self, query: &Tree, tau: u32) -> crate::explain::ExplainReport {
-        // Trace ownership as in `explain_knn`.
-        let trace = treesim_obs::trace::start_trace();
-        let trace_id = trace.id();
-        let mut observer = crate::explain::ExplainObserver::new();
-        let (results, stats) = self.range_observed(query, tau, &mut observer);
-        let scale = self.bound_scale();
-        let last_stage = self.filter.stages() - 1;
-        let query_artifact = self.filter.prepare_query(query);
-        let candidates = observer.into_candidates(&results, |id| {
-            self.filter.stage_bound(&query_artifact, id, last_stage) * scale
-        });
-        crate::explain::ExplainReport {
-            kind: "range",
-            param: u64::from(tau),
-            stats,
-            results,
-            stage_names: self.stage_names(),
-            candidates,
-            trace_id,
-        }
     }
 }
 

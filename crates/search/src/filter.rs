@@ -12,8 +12,8 @@ use treesim_histogram::{BinBudget, HistogramVector};
 use treesim_tree::{Forest, Tree, TreeId};
 
 /// Publishes an arena's footprint gauges (`arena.trees`, `arena.entries`)
-/// — refreshed whenever a filter (re)builds its CSR arena.
-pub(crate) fn publish_arena_gauges(arena: &VectorArena) {
+/// — refreshed whenever a filter builds or grows its CSR arena.
+fn publish_arena_gauges(arena: &VectorArena) {
     treesim_obs::gauge!("arena.trees").set(arena.len() as i64);
     treesim_obs::gauge!("arena.entries").set(arena.entry_count() as i64);
 }
@@ -182,9 +182,9 @@ impl BiBranchFilter {
 /// The `propt` bound with observability: records how many binary-search
 /// iterations the §4.2 probe took into the `cascade.propt.iters`
 /// histogram and into the flight recorder's per-query thread-local
-/// accumulator. Shared by [`BiBranchFilter`] and the dynamic index so
+/// accumulator. Shared by [`BiBranchFilter`] and [`PostingsFilter`] so
 /// every propt evaluation is counted the same way.
-pub(crate) fn propt_bound(query: &PositionalVector, data: &PositionalVector) -> u64 {
+fn propt_bound(query: &PositionalVector, data: &PositionalVector) -> u64 {
     let (bound, iterations) = query.optimistic_bound_counted(data);
     treesim_obs::histogram!("cascade.propt.iters").record(u64::from(iterations));
     treesim_obs::recorder::propt_iters_add(u64::from(iterations));
@@ -296,9 +296,7 @@ impl Filter for BiBranchFilter {
 
 /// The paper's space-matching bin budget (§5): the total histogram
 /// dimensionality per tree equals the average binary branch vector size
-/// plus twice the average tree size. Shared by [`HistogramFilter::build`]
-/// and [`PostingsFilter::with_histogram`] so both price the histogram
-/// stage identically.
+/// plus twice the average tree size.
 fn paper_matched_budget(forest: &Forest) -> BinBudget {
     let stats = forest.stats();
     // Average number of nonzero branch-vector dimensions per tree.
@@ -314,8 +312,8 @@ fn paper_matched_budget(forest: &Forest) -> BinBudget {
 /// The default production filter: the positional cascade of
 /// [`BiBranchFilter`] fronted by a **stage −1 inverted-list candidate
 /// generator**. At query time the query's branch posting lists are k-way
-/// merged ([`InvertedFileIndex::shared_branch_mass`]) into a sorted
-/// per-tree shared-branch-mass table, from which stage 0 derives
+/// merged ([`treesim_core::merge_shared_mass`]) into a sorted per-tree
+/// shared-branch-mass table, from which stage 0 derives
 ///
 /// ```text
 /// BDist(q, t) ≥ |BRV(q)| + |BRV(t)| − 2·shared(q, t)
@@ -329,12 +327,20 @@ fn paper_matched_budget(forest: &Forest) -> BinBudget {
 /// therefore contribute zero to `shared` — but their mass stays in
 /// `|BRV(q)|`, which keeps the bound sound (the no-false-negative edge
 /// case the `strict-checks` assertion pins down).
+///
+/// The filter is **growable**: [`PostingsFilter::push`] appends a tree as
+/// the next id, extending the vocabulary, the posting lists, the
+/// positional vectors and the CSR arena in place. Ids only ever grow, so
+/// every posting list stays a sorted run; [`PostingsFilter::build`] and
+/// [`PostingsFilter::from_index`] are folds over the same append path.
 #[derive(Debug)]
 pub struct PostingsFilter {
-    index: InvertedFileIndex,
+    vocab: BranchVocab,
+    /// Per-branch posting lists, indexed by branch id: `(tree, count)`,
+    /// ascending by tree id.
+    postings: Vec<Vec<(TreeId, u32)>>,
     vectors: Vec<PositionalVector>,
     arena: VectorArena,
-    histograms: Option<(Vec<HistogramVector>, BinBudget)>,
 }
 
 /// Per-query artifact of [`PostingsFilter`]: the query vector plus the
@@ -343,7 +349,6 @@ pub struct PostingsFilter {
 pub struct PostingsQuery {
     vector: PositionalVector,
     dense: DenseQuery,
-    histogram: Option<HistogramVector>,
     /// `(tree, Σ_b min(count_q(b), count_t(b)))`, ascending by tree id;
     /// trees absent from every query posting list are absent here and
     /// share mass 0.
@@ -360,47 +365,67 @@ impl PostingsQuery {
 }
 
 impl PostingsFilter {
-    /// Indexes `forest` with q-level branches (Algorithm 1) and keeps the
-    /// inverted file index for posting-list candidate generation.
+    /// An empty filter over q-level branches, grown by
+    /// [`PostingsFilter::push`].
+    pub fn new(q: usize) -> Self {
+        PostingsFilter {
+            vocab: BranchVocab::new(q),
+            postings: Vec::new(),
+            vectors: Vec::new(),
+            arena: VectorArena::new(q),
+        }
+    }
+
+    /// Indexes `forest` with q-level branches (Algorithm 1): one
+    /// [`PostingsFilter::push`] per tree in id order.
     pub fn build(forest: &Forest, q: usize) -> Self {
-        Self::from_index(InvertedFileIndex::build(forest, q))
-    }
-
-    /// Like [`PostingsFilter::build`], additionally wiring the label
-    /// histogram bound in as a cascade stage between `size` and `bdist`
-    /// (ROADMAP item #2; see EXPERIMENTS.md §histo for when it pays).
-    pub fn with_histogram(forest: &Forest, q: usize) -> Self {
-        let budget = paper_matched_budget(forest);
-        let vectors = forest
-            .iter()
-            .map(|(_, tree)| HistogramVector::build_bucketed(tree, budget))
-            .collect();
-        PostingsFilter {
-            histograms: Some((vectors, budget)),
-            ..Self::build(forest, q)
+        let mut filter = Self::new(q);
+        for (_, tree) in forest.iter() {
+            filter.push(tree);
         }
+        filter
     }
 
-    /// Builds from an existing inverted file index, taking ownership.
+    /// Converts an inverted file index (e.g. a persisted one): adopts its
+    /// vocabulary and appends its positional vectors in tree order. The
+    /// result equals [`PostingsFilter::build`] over the indexed forest.
     pub fn from_index(index: InvertedFileIndex) -> Self {
-        let arena = VectorArena::from_index(&index);
-        publish_arena_gauges(&arena);
-        PostingsFilter {
-            vectors: index.positional_vectors(),
-            arena,
-            index,
-            histograms: None,
+        let mut filter = Self::new(index.q());
+        filter.vocab = index.vocab().clone();
+        for vector in index.positional_vectors() {
+            filter.append(vector);
         }
+        publish_arena_gauges(&filter.arena);
+        filter
+    }
+
+    /// Appends `tree` (labels from the dataset's interner) as the next
+    /// tree id and returns that id; it is bounded by every later query.
+    pub fn push(&mut self, tree: &Tree) -> TreeId {
+        let vector = PositionalVector::build(tree, &mut self.vocab);
+        let id = self.append(vector);
+        publish_arena_gauges(&self.arena);
+        id
+    }
+
+    /// The one growth path: the new tree's distinct branches each append
+    /// one posting (its id is the largest so far, so every list stays
+    /// sorted), and its counts become a new arena segment.
+    fn append(&mut self, vector: PositionalVector) -> TreeId {
+        let id = TreeId(self.vectors.len() as u32);
+        self.postings.resize_with(self.vocab.len(), Vec::new);
+        for (branch, count) in vector.iter_counts() {
+            self.postings[branch.index()].push((id, count));
+        }
+        self.arena
+            .push_tree(vector.iter_counts(), vector.tree_size());
+        self.vectors.push(vector);
+        id
     }
 
     /// The branch level `q`.
     pub fn q(&self) -> usize {
-        self.index.q()
-    }
-
-    /// Whether the histogram stage is part of the cascade.
-    pub fn has_histogram(&self) -> bool {
-        self.histograms.is_some()
+        self.vocab.q()
     }
 
     /// The dataset vector of `tree` (for inspection / experiments).
@@ -411,6 +436,31 @@ impl PostingsFilter {
     /// The CSR arena backing the `size`/`bdist` stages.
     pub fn arena(&self) -> &VectorArena {
         &self.arena
+    }
+
+    /// K-way merges the posting lists of the query's in-vocabulary
+    /// branches into the per-tree shared branch mass table, ascending by
+    /// tree id. Out-of-vocabulary branches (ids past the dataset
+    /// vocabulary) have no list and are skipped — their mass stays in
+    /// `|BRV(q)|`. Under `strict-checks` the dense scatter kernel is
+    /// asserted equal to the k-way heap merge.
+    fn shared_mass(&self, query: &PositionalVector) -> Vec<(TreeId, u64)> {
+        let runs = || {
+            query
+                .iter_counts()
+                .filter_map(|(branch, count)| {
+                    Some((count, self.postings.get(branch.index())?.iter().copied()))
+                })
+                .collect::<Vec<_>>()
+        };
+        let merged = treesim_core::merge_shared_mass(self.vectors.len(), runs());
+        #[cfg(feature = "strict-checks")]
+        debug_assert_eq!(
+            merged,
+            treesim_core::merge_shared_mass_sparse(runs()),
+            "dense shared-mass scatter diverged from the k-way heap merge"
+        );
+        merged
     }
 
     /// The `bdist` stage bound through the arena's dense shared-mass
@@ -437,7 +487,7 @@ impl PostingsFilter {
             Ok(found) => query.shared[found].1,
             Err(_) => 0,
         };
-        let bdist_floor = query.total + u64::from(self.index.tree_size(candidate)) - 2 * shared;
+        let bdist_floor = query.total + u64::from(self.arena.tree_size(candidate.0)) - 2 * shared;
         #[cfg(feature = "strict-checks")]
         debug_assert!(
             bdist_floor <= query.vector.bdist(&self.vectors[candidate.index()]),
@@ -453,27 +503,19 @@ impl Filter for PostingsFilter {
     type Query = PostingsQuery;
 
     fn name(&self) -> &'static str {
-        match self.histograms {
-            Some(_) => "Postings+histo",
-            None => "Postings",
-        }
+        "Postings"
     }
 
     fn prepare_query(&self, query: &Tree) -> PostingsQuery {
-        let mut query_vocab = QueryVocab::new(self.index.vocab());
+        let mut query_vocab = QueryVocab::new(&self.vocab);
         let vector = PositionalVector::build_query(query, &mut query_vocab);
-        let counts: Vec<(treesim_core::BranchId, u32)> = vector.iter_counts().collect();
-        let shared = self.index.shared_branch_mass(&counts);
+        let shared = self.shared_mass(&vector);
         treesim_obs::histogram!("cascade.postings.candidates").record(shared.len() as u64);
         let total = u64::from(vector.tree_size());
         PostingsQuery {
-            dense: DenseQuery::new(self.index.vocab().len(), counts, total),
+            dense: DenseQuery::new(self.vocab.len(), vector.iter_counts(), total),
             total,
             shared,
-            histogram: self
-                .histograms
-                .as_ref()
-                .map(|(_, budget)| HistogramVector::build_bucketed(query, *budget)),
             vector,
         }
     }
@@ -482,44 +524,34 @@ impl Filter for PostingsFilter {
         propt_bound(&query.vector, &self.vectors[candidate.index()])
     }
 
-    /// Cascade: the posting-merge bound, the O(1) size screen, optionally
-    /// the label histogram, then `⌈BDist/(4(q−1)+1)⌉` and the `propt`
-    /// binary search of §4.2. (`postings` and `bdist` are pointwise equal
-    /// under min-clamped shared mass; keeping both stages makes the funnel
-    /// report how much of the pruning needed no per-candidate vector work.)
+    /// Cascade: the posting-merge bound, the O(1) size screen, then
+    /// `⌈BDist/(4(q−1)+1)⌉` and the `propt` binary search of §4.2.
+    /// (`postings` and `bdist` are pointwise equal under min-clamped shared
+    /// mass; keeping both stages makes the funnel report how much of the
+    /// pruning needed no per-candidate vector work.)
     fn stages(&self) -> usize {
-        match self.histograms {
-            Some(_) => 5,
-            None => 4,
-        }
+        4
     }
 
     fn stage_name(&self, stage: usize) -> &'static str {
-        match (stage, self.histograms.is_some()) {
-            (0, _) => "postings",
-            (1, _) => "size",
-            (2, true) => "histo",
-            (2, false) | (3, true) => "bdist",
+        match stage {
+            0 => "postings",
+            1 => "size",
+            2 => "bdist",
             _ => "propt",
         }
     }
 
     fn stage_bound(&self, query: &PostingsQuery, candidate: TreeId, stage: usize) -> u64 {
-        match (stage, self.histograms.is_some()) {
-            (0, _) => self.postings_bound(query, candidate),
-            (1, _) => u64::from(
+        match stage {
+            0 => self.postings_bound(query, candidate),
+            1 => u64::from(
                 query
                     .vector
                     .tree_size()
-                    .abs_diff(self.arena.tree_size(candidate.index() as u32)),
+                    .abs_diff(self.arena.tree_size(candidate.0)),
             ),
-            (2, true) => match (&self.histograms, &query.histogram) {
-                (Some((vectors, _)), Some(histogram)) => {
-                    histogram.lower_bound(&vectors[candidate.index()])
-                }
-                _ => unreachable!("histo stage without histograms"),
-            },
-            (2, false) | (3, true) => self.bdist_bound(query, candidate),
+            2 => self.bdist_bound(query, candidate),
             _ => propt_bound(&query.vector, &self.vectors[candidate.index()]),
         }
     }
@@ -534,11 +566,11 @@ impl Filter for PostingsFilter {
         debug_assert!(candidates.windows(2).all(|w| matches!(w, [a, b] if a < b)));
         #[cfg(feature = "strict-checks")]
         let check_from = out.len();
-        match (stage, self.histograms.is_some()) {
+        match stage {
             // Stage −1 batched: candidates and the merged posting table
             // both ascend by tree id, so one forward walk over `shared`
             // replaces the per-candidate binary searches.
-            (0, _) => {
+            0 => {
                 let mut table = query.shared.iter().peekable();
                 out.extend(candidates.iter().map(|&id| {
                     while table.peek().is_some_and(|&&(tree, _)| tree < id) {
@@ -548,21 +580,20 @@ impl Filter for PostingsFilter {
                         Some(&&(tree, mass)) if tree == id => mass,
                         _ => 0,
                     };
-                    let floor = query.total + u64::from(self.arena.tree_size(id.index() as u32))
-                        - 2 * shared;
+                    let floor = query.total + u64::from(self.arena.tree_size(id.0)) - 2 * shared;
                     treesim_core::edit_lower_bound(floor, self.q())
                 }));
             }
-            (1, _) => {
+            1 => {
                 let query_size = query.vector.tree_size();
-                out.extend(candidates.iter().map(|&id| {
-                    u64::from(query_size.abs_diff(self.arena.tree_size(id.index() as u32)))
-                }));
+                out.extend(
+                    candidates
+                        .iter()
+                        .map(|&id| u64::from(query_size.abs_diff(self.arena.tree_size(id.0)))),
+                );
             }
-            (2, false) | (3, true) => {
-                out.extend(candidates.iter().map(|&id| self.bdist_bound(query, id)));
-            }
-            // histo / propt stay per-candidate.
+            2 => out.extend(candidates.iter().map(|&id| self.bdist_bound(query, id))),
+            // propt stays per-candidate.
             _ => {
                 out.extend(
                     candidates
@@ -584,11 +615,6 @@ impl Filter for PostingsFilter {
     }
 
     fn prunes_range(&self, query: &PostingsQuery, candidate: TreeId, tau: u32) -> bool {
-        if let (Some((vectors, _)), Some(histogram)) = (&self.histograms, &query.histogram) {
-            if histogram.lower_bound(&vectors[candidate.index()]) > u64::from(tau) {
-                return true;
-            }
-        }
         query
             .vector
             .exceeds_range(&self.vectors[candidate.index()], tau)
@@ -872,17 +898,25 @@ mod tests {
         let filter = PostingsFilter::build(&forest, 2);
         assert_eq!(filter.name(), "Postings");
         assert_eq!(filter.q(), 2);
-        assert!(!filter.has_histogram());
         check_filter(&filter, &forest);
     }
 
     #[test]
-    fn postings_with_histogram_is_sound() {
+    fn posting_lists_are_sorted_runs_covering_every_node() {
+        // The merge kernel's input contract: every list ascends by tree
+        // id, and the lists hold exactly the forest's branch mass.
         let forest = forest();
-        let filter = PostingsFilter::with_histogram(&forest, 2);
-        assert_eq!(filter.name(), "Postings+histo");
-        assert!(filter.has_histogram());
-        check_filter(&filter, &forest);
+        let filter = PostingsFilter::build(&forest, 2);
+        let mass: usize = filter
+            .postings
+            .iter()
+            .flatten()
+            .map(|&(_, count)| count as usize)
+            .sum();
+        assert_eq!(mass, forest.stats().total_nodes);
+        for list in &filter.postings {
+            assert!(list.windows(2).all(|w| w[0].0 < w[1].0), "unsorted run");
+        }
     }
 
     #[test]
@@ -1018,14 +1052,6 @@ mod tests {
         assert_eq!(
             (0..4).map(|s| postings.stage_name(s)).collect::<Vec<_>>(),
             vec!["postings", "size", "bdist", "propt"]
-        );
-        let postings_histo = PostingsFilter::with_histogram(&forest, 2);
-        assert_eq!(postings_histo.stages(), 5);
-        assert_eq!(
-            (0..5)
-                .map(|s| postings_histo.stage_name(s))
-                .collect::<Vec<_>>(),
-            vec!["postings", "size", "histo", "bdist", "propt"]
         );
     }
 

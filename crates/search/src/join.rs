@@ -503,11 +503,11 @@ mod tests {
 
     #[test]
     fn join_counts_cutoffs_and_records_registry_counters() {
+        // The `join.*` registry deltas are asserted in the single-test
+        // `tests/join_registry.rs` binary: sibling tests here bump the
+        // same process-global counters in parallel.
         let forest = forest();
         let filter = NoFilter::build(&forest);
-        let queries_before = treesim_obs::metrics::counter("join.queries").get();
-        let joined_before = treesim_obs::metrics::counter("join.pairs.joined").get();
-        let cutoffs_before = treesim_obs::metrics::counter("join.pairs.cutoffs").get();
         let (pairs, stats) = similarity_self_join(&forest, &filter, 1);
         // NoFilter sends every size-compatible pair to refinement; at τ=1
         // most exceed the radius, so the bounded DP cuts them off — and a
@@ -515,18 +515,6 @@ mod tests {
         assert!(stats.pairs_cutoff > 0);
         assert_eq!(stats.pairs_refined, stats.pairs_joined + stats.pairs_cutoff);
         assert_eq!(stats.pairs_joined, pairs.len());
-        assert_eq!(
-            treesim_obs::metrics::counter("join.queries").get(),
-            queries_before + 1
-        );
-        assert_eq!(
-            treesim_obs::metrics::counter("join.pairs.joined").get(),
-            joined_before + stats.pairs_joined as u64
-        );
-        assert_eq!(
-            treesim_obs::metrics::counter("join.pairs.cutoffs").get(),
-            cutoffs_before + stats.pairs_cutoff as u64
-        );
     }
 
     #[test]

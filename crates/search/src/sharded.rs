@@ -305,7 +305,7 @@ impl<'a, F: Filter + Send + Sync> ShardedEngine<'a, F> {
         let wall_start = Instant::now();
         let per_shard = self.run_shards(|engine| {
             let mut observer = make();
-            let (results, stats, zs_nodes) = engine.knn_core(query, k, &mut observer);
+            let (results, stats, zs_nodes) = engine.core().knn(query, k, &mut observer);
             (results, stats, zs_nodes, observer)
         });
         let merge_span = treesim_obs::trace::span("shard.merge");
@@ -352,7 +352,7 @@ impl<'a, F: Filter + Send + Sync> ShardedEngine<'a, F> {
         let wall_start = Instant::now();
         let per_shard = self.run_shards(|engine| {
             let mut observer = make();
-            let (results, stats, zs_nodes) = engine.range_core(query, tau, &mut observer);
+            let (results, stats, zs_nodes) = engine.core().range(query, tau, &mut observer);
             (results, stats, zs_nodes, observer)
         });
         let merge_span = treesim_obs::trace::span("shard.merge");

@@ -61,7 +61,6 @@ fn every_emitted_metric_name_parses_under_the_grammar() {
     drive_engine(&forest, HistogramFilter::build(&forest));
     drive_engine(&forest, NoFilter::build(&forest));
     drive_engine(&forest, PostingsFilter::build(&forest, 2));
-    drive_engine(&forest, PostingsFilter::with_histogram(&forest, 2));
 
     // Sharded execution materializes the `shard.*` namespace.
     let sharded = ShardedForest::split(&forest, 3);
@@ -139,7 +138,6 @@ fn filter_stage_names_match_the_contract_table() {
     let histogram = HistogramFilter::build(&forest);
     let scan = NoFilter::build(&forest);
     let postings = PostingsFilter::build(&forest, 2);
-    let postings_histo = PostingsFilter::with_histogram(&forest, 2);
 
     let mut seen = std::collections::BTreeSet::new();
     for filter in [
@@ -148,7 +146,6 @@ fn filter_stage_names_match_the_contract_table() {
         &histogram,
         &scan,
         &postings,
-        &postings_histo,
     ] {
         for stage in 0..filter.stage_count() {
             let name = filter.stage(stage);
