@@ -16,11 +16,10 @@
 //! kind — both in `/metrics` and in the `/recorder.json` `dropped`
 //! object).
 //!
-//! Two thread-locals thread per-query context through code that never
-//! sees the record being assembled: a propt-iteration accumulator (the
-//! binary search in the propt bound runs deep inside the filter) and a
-//! batch-context depth (so records emitted by `knn_batch` worker threads
-//! are tagged as batch work).
+//! One thread-local carries context the query path does not see: a
+//! batch-context depth, so records emitted by `knn_batch` worker threads
+//! are tagged as batch work. Everything else in a record comes from the
+//! query's own per-query statistics.
 //!
 //! # Memory-model contracts (checked by `xtask analyze` happens-before)
 //!
@@ -46,8 +45,8 @@ pub const DEFAULT_CAPACITY: usize = 1024;
 const SHARDS: usize = 8;
 
 /// Maximum number of cascade stages a record can carry (the deepest
-/// filter cascade today is postings → size → histo → bdist → propt, plus
-/// one spare).
+/// filter cascade today is the four-stage postings → size → bdist →
+/// propt, so two spare).
 pub const MAX_STAGES: usize = 6;
 
 /// Which query path produced a record.
@@ -331,12 +330,12 @@ impl FlightRecorder {
             }
             guard.next = (next + 1) % guard.slots.len().max(1);
         }
-        crate::metrics::counter("recorder.recorded").inc();
+        crate::counter!("recorder.recorded").inc();
         if let Some(kind) = evicted {
             if let Some(per_kind) = self.dropped.get(kind.index()) {
                 per_kind.fetch_add(1, Ordering::Relaxed);
             }
-            crate::metrics::counter("recorder.overwritten").inc();
+            crate::counter!("recorder.overwritten").inc();
             dropped_counter(kind).inc();
         }
         id
@@ -476,23 +475,8 @@ pub fn record_query(mut record: QueryRecord) -> u64 {
 }
 
 thread_local! {
-    /// Propt binary-search iterations accumulated since the last `take`.
-    static PROPT_ITERS: Cell<u64> = const { Cell::new(0) };
     /// Nesting depth of batch drivers on this thread.
     static BATCH_DEPTH: Cell<u32> = const { Cell::new(0) };
-}
-
-/// Adds `n` propt binary-search iterations to this thread's per-query
-/// accumulator (called from deep inside the filter bound).
-pub fn propt_iters_add(n: u64) {
-    PROPT_ITERS.with(|c| c.set(c.get().saturating_add(n)));
-}
-
-/// Reads and resets this thread's propt-iteration accumulator. Query
-/// paths call it once at query start (to discard stale state) and once at
-/// the end (to stamp the record).
-pub fn propt_iters_take() -> u64 {
-    PROPT_ITERS.with(|c| c.replace(0))
 }
 
 /// Whether this thread is currently inside a batch driver.
@@ -637,13 +621,7 @@ mod tests {
     }
 
     #[test]
-    fn propt_accumulator_and_batch_context() {
-        assert_eq!(propt_iters_take(), 0);
-        propt_iters_add(3);
-        propt_iters_add(4);
-        assert_eq!(propt_iters_take(), 7);
-        assert_eq!(propt_iters_take(), 0);
-
+    fn batch_context_nests() {
         assert!(!in_batch());
         {
             let _outer = BatchContext::enter();

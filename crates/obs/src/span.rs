@@ -3,10 +3,11 @@
 //!
 //! Every span records its wall-clock duration into the histogram named
 //! `<span name>.us` — that always happens and costs two `Instant` reads
-//! plus a few relaxed atomic adds. Everything else (field formatting,
-//! enter/exit events) happens **only when a sink is installed**: the guard
-//! checks one `Acquire` atomic bool, so an uninstrumented run pays near
-//! nothing beyond the histogram.
+//! plus a few relaxed atomic adds. Enter/exit events happen **only when a
+//! sink is installed**: the guard checks one `Acquire` atomic bool. Field
+//! formatting happens when a sink is installed or a trace capture is live
+//! on the thread (see [`crate::trace`]); query entry points always open a
+//! capture, so their spans format their fields.
 //!
 //! # Memory-model contracts (checked by `xtask analyze` happens-before)
 //!
@@ -211,9 +212,6 @@ impl Drop for SpanGuard {
             stack.pop();
             stack.len()
         });
-        if self.traced {
-            crate::trace::on_span_exit(self.name, &self.fields);
-        }
         if sink_active() {
             emit(&Event {
                 kind: EventKind::SpanExit,
@@ -222,6 +220,9 @@ impl Drop for SpanGuard {
                 duration: Some(elapsed),
                 fields: &self.fields,
             });
+        }
+        if self.traced {
+            crate::trace::on_span_exit(self.name, std::mem::take(&mut self.fields));
         }
     }
 }

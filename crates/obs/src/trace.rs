@@ -581,8 +581,8 @@ pub(crate) fn on_span_enter(name: &'static str) -> bool {
 }
 
 /// Hook for [`crate::SpanGuard`]'s drop: completes the innermost capture
-/// frame and deposits the finished [`TraceSpan`].
-pub(crate) fn on_span_exit(name: &'static str, fields: &[(&'static str, String)]) {
+/// frame and deposits the finished [`TraceSpan`], which takes `fields`.
+pub(crate) fn on_span_exit(name: &'static str, mut fields: Vec<(&'static str, String)>) {
     TRACE_CTX.with(|ctx| {
         let mut borrow = ctx.borrow_mut();
         let Some(ctx) = borrow.as_mut() else {
@@ -592,6 +592,9 @@ pub(crate) fn on_span_exit(name: &'static str, fields: &[(&'static str, String)]
             return;
         };
         debug_assert_eq!(frame.name, name, "trace frame stack out of order");
+        // Fields pushed after enter leave spare capacity; retained traces
+        // hold their spans for a long time, so keep only what is used.
+        fields.shrink_to_fit();
         let span = TraceSpan {
             id: frame.id,
             parent: frame.parent,
@@ -600,7 +603,7 @@ pub(crate) fn on_span_exit(name: &'static str, fields: &[(&'static str, String)]
             dur_us: u64::try_from(frame.start.elapsed().as_micros()).unwrap_or(u64::MAX),
             pid: ctx.pid,
             tid: ctx.tid,
-            fields: fields.to_vec(),
+            fields,
         };
         recover(&ctx.shared.spans).push(span);
     });
@@ -633,7 +636,7 @@ impl TraceSpanGuard {
 impl Drop for TraceSpanGuard {
     fn drop(&mut self) {
         if self.traced {
-            on_span_exit(self.name, &std::mem::take(&mut self.fields));
+            on_span_exit(self.name, std::mem::take(&mut self.fields));
         }
     }
 }

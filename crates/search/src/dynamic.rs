@@ -12,14 +12,12 @@
 //! results **and** the four-stage `postings → size → bdist → propt`
 //! funnel equal an engine rebuilt from scratch (tested after every push).
 
-use std::time::Instant;
-
 use treesim_core::VectorArena;
 use treesim_edit::{TreeInfo, UnitCost};
-use treesim_obs::recorder::{self, QueryKind};
+use treesim_obs::QueryKind;
 use treesim_tree::{Forest, LabelInterner, Tree, TreeId};
 
-use crate::engine::{emit_record, Neighbor, QueryCore};
+use crate::engine::{observe, Neighbor, QueryCore};
 use crate::filter::PostingsFilter;
 use crate::stats::SearchStats;
 
@@ -139,44 +137,21 @@ impl DynamicIndex {
     /// smallest-id tie-breaking), emitted under the `dynamic.knn` span and
     /// metric prefix.
     pub fn knn(&self, query: &Tree, k: usize) -> (Vec<Neighbor>, SearchStats) {
-        // Trace before span (the span must close before the trace
-        // finalizes); inert when an enclosing trace is already live.
-        let _trace = treesim_obs::trace::start_trace();
-        let _span = treesim_obs::span!("dynamic.knn", k = k, dataset = self.len());
-        let wall_start = Instant::now();
-        recorder::propt_iters_take(); // discard any stale accumulation
-        let (results, stats, zs_nodes) = self.core().knn(query, k, &mut ());
-        stats.record_metrics("dynamic.knn");
-        emit_record(
-            QueryKind::DynamicKnn,
-            k as u64,
-            &stats,
-            &results,
-            zs_nodes,
-            wall_start.elapsed(),
-        );
-        (results, stats)
+        observe(QueryKind::DynamicKnn, k as u64, self.len(), None, || {
+            self.core().knn(query, k, &mut ())
+        })
     }
 
     /// Range query (same semantics as [`crate::SearchEngine::range`]),
     /// emitted under the `dynamic.range` span and metric prefix.
     pub fn range(&self, query: &Tree, tau: u32) -> (Vec<Neighbor>, SearchStats) {
-        // Trace before span, as in `knn`.
-        let _trace = treesim_obs::trace::start_trace();
-        let _span = treesim_obs::span!("dynamic.range", tau = tau, dataset = self.len());
-        let wall_start = Instant::now();
-        recorder::propt_iters_take(); // discard any stale accumulation
-        let (results, stats, zs_nodes) = self.core().range(query, tau, &mut ());
-        stats.record_metrics("dynamic.range");
-        emit_record(
+        observe(
             QueryKind::DynamicRange,
             u64::from(tau),
-            &stats,
-            &results,
-            zs_nodes,
-            wall_start.elapsed(),
-        );
-        (results, stats)
+            self.len(),
+            None,
+            || self.core().range(query, tau, &mut ()),
+        )
     }
 }
 

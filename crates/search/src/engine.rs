@@ -31,11 +31,11 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use treesim_edit::{bounded_zhang_shasha, CostModel, TreeInfo, UnitCost, ZsWorkspace};
-use treesim_obs::recorder::{self, QueryKind, QueryRecord};
+use treesim_obs::{recorder, QueryKind};
 use treesim_tree::{Forest, Tree, TreeId};
 
 use crate::filter::Filter;
-use crate::stats::{SearchStats, StageStats};
+use crate::stats::{kind_name, KindMetrics, SearchStats, StageStats};
 
 /// Per-candidate hooks the EXPLAIN replay taps into. The production path
 /// runs with the no-op `()` impl, so the hooks cost nothing there; the
@@ -61,31 +61,38 @@ pub(crate) trait QueryObserver {
 /// The production observer: all hooks are no-ops.
 impl QueryObserver for () {}
 
-/// Assembles and deposits the flight record for one finished query.
-pub(crate) fn emit_record(
+/// The one emitter around a query core call: opens the query's trace
+/// and its `<kind>` span (fields `k`/`tau`, `shards` when given, and
+/// `dataset`), times the wall clock, runs `core`, then projects the
+/// returned [`SearchStats`] into the registry ([`SearchStats::flush`])
+/// and the flight recorder ([`SearchStats::flight_record`]).
+/// [`SearchEngine`], [`crate::DynamicIndex`] and
+/// [`crate::ShardedEngine`] all emit through it.
+pub(crate) fn observe(
     kind: QueryKind,
     param: u64,
-    stats: &SearchStats,
-    results: &[Neighbor],
-    zs_nodes: u64,
-    wall: std::time::Duration,
-) {
-    let mut record = QueryRecord::new(kind);
-    record.param = param;
-    record.dataset = stats.dataset_size as u64;
-    for stage in &stats.stages {
-        record.push_stage(stage.name, stage.evaluated as u64, stage.pruned as u64);
-    }
-    record.propt_iters = recorder::propt_iters_take();
-    record.refined = stats.refined as u64;
-    record.refine_cutoffs = stats.refine_cutoffs as u64;
-    record.bands_skipped = stats.refine_bands_skipped;
-    record.zs_nodes = zs_nodes;
-    record.results = results.len() as u64;
-    record.best = results.first().map(|n| n.distance);
-    record.worst = results.last().map(|n| n.distance);
-    record.wall_us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
-    recorder::record_query(record);
+    dataset: usize,
+    shards: Option<usize>,
+    core: impl FnOnce() -> (Vec<Neighbor>, SearchStats),
+) -> (Vec<Neighbor>, SearchStats) {
+    // The trace guard is declared before the span so the span closes
+    // (and deposits itself) before the guard finalizes the trace. Inside
+    // a batch/sharded/nested query this is inert — the query joins the
+    // enclosing trace instead of starting its own.
+    let _trace = treesim_obs::trace::start_trace();
+    // The capture is live from here on, so the span's fields are always
+    // formatted (as `span!` would).
+    let name = kind_name(kind);
+    let param_key = if name.ends_with("knn") { "k" } else { "tau" };
+    let mut fields = vec![(param_key, param.to_string())];
+    fields.extend(shards.map(|n| ("shards", n.to_string())));
+    fields.push(("dataset", dataset.to_string()));
+    let _span = treesim_obs::SpanGuard::enter(name, KindMetrics::of(kind).span_us, fields);
+    let wall_start = Instant::now();
+    let (results, stats) = core();
+    stats.flush(kind);
+    recorder::record_query(stats.flight_record(kind, param, &results, wall_start.elapsed()));
+    (results, stats)
 }
 
 /// Maps a cascade stage name (as reported by [`Filter::stage_name`]) to
@@ -232,10 +239,9 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
         self.knn_observed(query, k, &mut ())
     }
 
-    /// The observed k-NN entry point: wraps [`QueryCore::knn`]
-    /// with the query span, the `engine.knn.*` metrics flush and the
-    /// flight record deposit. The production path passes `&mut ()`,
-    /// EXPLAIN passes a recording observer — the algorithm is
+    /// The observed k-NN entry point: runs [`QueryCore::knn`] under the
+    /// `engine.knn` emission ([`observe`]). The production path passes
+    /// `&mut ()`, EXPLAIN passes a recording observer — the algorithm is
     /// byte-for-byte the same either way.
     pub(crate) fn knn_observed<O: QueryObserver>(
         &self,
@@ -243,25 +249,9 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
         k: usize,
         observer: &mut O,
     ) -> (Vec<Neighbor>, SearchStats) {
-        // The trace guard is declared before the span so the span closes
-        // (and deposits itself) before the guard finalizes the trace.
-        // Inside a batch/sharded/nested query this is inert — the query
-        // joins the enclosing trace instead of starting its own.
-        let _trace = treesim_obs::trace::start_trace();
-        let _span = treesim_obs::span!("engine.knn", k = k, dataset = self.forest.len());
-        let wall_start = Instant::now();
-        recorder::propt_iters_take(); // discard any stale accumulation
-        let (results, stats, zs_nodes) = self.core().knn(query, k, observer);
-        stats.record_metrics("engine.knn");
-        emit_record(
-            QueryKind::Knn,
-            k as u64,
-            &stats,
-            &results,
-            zs_nodes,
-            wall_start.elapsed(),
-        );
-        (results, stats)
+        observe(QueryKind::Knn, k as u64, self.forest.len(), None, || {
+            self.core().knn(query, k, observer)
+        })
     }
 
     /// Range query: all trees within edit distance `tau` of `query`,
@@ -278,30 +268,21 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
     }
 
     /// The observed range entry point, mirroring
-    /// [`SearchEngine::knn_observed`]: emission around
-    /// [`QueryCore::range`].
+    /// [`SearchEngine::knn_observed`]: [`QueryCore::range`] under the
+    /// `engine.range` emission.
     pub(crate) fn range_observed<O: QueryObserver>(
         &self,
         query: &Tree,
         tau: u32,
         observer: &mut O,
     ) -> (Vec<Neighbor>, SearchStats) {
-        // Trace before span, as in `knn_observed` (drop order matters).
-        let _trace = treesim_obs::trace::start_trace();
-        let _span = treesim_obs::span!("engine.range", tau = tau, dataset = self.forest.len());
-        let wall_start = Instant::now();
-        recorder::propt_iters_take(); // discard any stale accumulation
-        let (results, stats, zs_nodes) = self.core().range(query, tau, observer);
-        stats.record_metrics("engine.range");
-        emit_record(
+        observe(
             QueryKind::Range,
             u64::from(tau),
-            &stats,
-            &results,
-            zs_nodes,
-            wall_start.elapsed(),
-        );
-        (results, stats)
+            self.forest.len(),
+            None,
+            || self.core().range(query, tau, observer),
+        )
     }
 
     /// Cascade stage names, coarsest first.
@@ -376,8 +357,8 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
 /// its filter, the per-tree Zhang–Shasha tables (one per indexed tree, so
 /// their count is the dataset size) and the cost model. [`SearchEngine`],
 /// [`crate::DynamicIndex`] and every shard of [`crate::ShardedEngine`]
-/// answer queries through this one core and add only their own emission
-/// (span, metric prefix, flight record) around it.
+/// answer queries through this one core; the one emitter ([`observe`])
+/// wraps each engine and dynamic query, and each merged sharded query.
 pub(crate) struct QueryCore<'i, F, C> {
     pub(crate) filter: &'i F,
     pub(crate) infos: &'i [TreeInfo],
@@ -395,17 +376,16 @@ impl<F: Filter, C: CostModel> QueryCore<'_, F, C> {
     /// `refine.zs.nodes` histogram — the problem size (total nodes on both
     /// sides) scaled by the fraction of DP cells the bounded DP actually
     /// evaluated, so budget savings show up in the §4.3 cost profile — and
-    /// its wall-clock into `refine.zs.us`. The volume also accumulates
-    /// into `zs_nodes` (the flight record's per-query total); cutoffs and
-    /// skipped cells feed the `refine.bounded.{cutoffs,bands_skipped}`
-    /// counters and the matching [`SearchStats`] fields.
+    /// its wall-clock into `refine.zs.us`. Into `stats` it adds that
+    /// volume (`zs_nodes`), its duration (`refine_time`), its skipped
+    /// cells and, for a cutoff, one `refine_cutoffs`; `refined` is the
+    /// caller's.
     fn refine(
         &self,
         query_info: &TreeInfo,
         id: TreeId,
         budget: u64,
         workspace: &mut ZsWorkspace,
-        zs_nodes: &mut u64,
         stats: &mut SearchStats,
     ) -> Option<u64> {
         let data_info = &self.infos[id.index()];
@@ -418,7 +398,9 @@ impl<F: Filter, C: CostModel> QueryCore<'_, F, C> {
         let start = Instant::now();
         let (distance, bounded) =
             bounded_zhang_shasha(query_info, data_info, self.cost, budget, workspace);
-        treesim_obs::histogram!("refine.zs.us").record_duration(start.elapsed());
+        let elapsed = start.elapsed();
+        treesim_obs::histogram!("refine.zs.us").record_duration(elapsed);
+        stats.refine_time += elapsed;
         trace_span.push_field("verdict", || match distance {
             Some(d) => format!("refined d={d}"),
             None => format!("cutoff (d > {budget})"),
@@ -444,12 +426,10 @@ impl<F: Filter, C: CostModel> QueryCore<'_, F, C> {
             .checked_div(bounded.cells_full)
             .unwrap_or(0);
         treesim_obs::histogram!("refine.zs.nodes").record(effective);
-        *zs_nodes += effective;
+        stats.zs_nodes += effective;
         stats.refine_bands_skipped += bounded.cells_skipped;
-        treesim_obs::counter!("refine.bounded.bands_skipped").add(bounded.cells_skipped);
         if distance.is_none() {
             stats.refine_cutoffs += 1;
-            treesim_obs::counter!("refine.bounded.cutoffs").inc();
         }
         distance
     }
@@ -473,21 +453,23 @@ impl<F: Filter, C: CostModel> QueryCore<'_, F, C> {
 
     /// The bare k-NN algorithm (see [`SearchEngine::knn`]): answers the
     /// query and fills the per-query [`SearchStats`], but emits
-    /// **nothing** — no span, no registry metrics, no flight record; each
-    /// caller adds its own emission around it. Also returns the total
-    /// Zhang–Shasha problem size (nodes) refined, for the flight record.
+    /// **nothing** — no span, no registry metrics, no flight record; the
+    /// caller wraps it in [`observe`].
+    ///
+    /// Both cores time alike: `refine_time` sums the refinements'
+    /// durations and `filter_time` is the rest of the core's wall clock.
     pub(crate) fn knn<O: QueryObserver>(
         &self,
         query: &Tree,
         k: usize,
         observer: &mut O,
-    ) -> (Vec<Neighbor>, SearchStats, u64) {
+    ) -> (Vec<Neighbor>, SearchStats) {
+        let core_start = Instant::now();
         let mut stats = self.fresh_stats();
         if k == 0 || self.infos.is_empty() {
-            return (Vec::new(), stats, 0);
+            return (Vec::new(), stats);
         }
 
-        let filter_start = Instant::now();
         let scale = self.cost.min_operation_cost();
         let stage_count = self.filter.stages();
         let query_artifact = self.filter.prepare_query(query);
@@ -516,8 +498,6 @@ impl<F: Filter, C: CostModel> QueryCore<'_, F, C> {
 
         let query_info = TreeInfo::new(query);
         let mut workspace = ZsWorkspace::new();
-        let mut refine_time = std::time::Duration::ZERO;
-        let mut zs_nodes = 0u64;
         // Max-heap of the k best (distance, tree) pairs seen so far; the
         // push-then-pop below evicts the largest (distance, id), so among
         // equal distances the smallest ids survive.
@@ -548,16 +528,7 @@ impl<F: Filter, C: CostModel> QueryCore<'_, F, C> {
                     Some(&(worst, _)) if heap.len() == k => worst,
                     _ => u64::MAX,
                 };
-                let refine_start = Instant::now();
-                let refined = self.refine(
-                    &query_info,
-                    id,
-                    budget,
-                    &mut workspace,
-                    &mut zs_nodes,
-                    &mut stats,
-                );
-                refine_time += refine_start.elapsed();
+                let refined = self.refine(&query_info, id, budget, &mut workspace, &mut stats);
                 stats.refined += 1;
                 match refined {
                     Some(distance) => {
@@ -576,28 +547,41 @@ impl<F: Filter, C: CostModel> QueryCore<'_, F, C> {
             stats.stages[next_stage - 1].pruned += 1;
             observer.on_pruned(id, next_stage - 1, bound);
         }
-        stats.filter_time = filter_start.elapsed() - refine_time;
-        stats.refine_time = refine_time;
 
         let mut results: Vec<Neighbor> = heap
             .into_iter()
             .map(|(distance, tree)| Neighbor { tree, distance })
             .collect();
         results.sort_unstable_by_key(|n| (n.distance, n.tree));
+        self.finish(&mut stats, &results, &query_artifact, core_start);
+        (results, stats)
+    }
+
+    /// Completes a core's stats: the result count, the `propt` iterations
+    /// the query artifact counted, and `filter_time` as the core's wall
+    /// clock minus the summed refinement time.
+    fn finish(
+        &self,
+        stats: &mut SearchStats,
+        results: &[Neighbor],
+        query_artifact: &F::Query,
+        core_start: Instant,
+    ) {
         stats.results = results.len();
-        (results, stats, zs_nodes)
+        stats.propt_iters = self.filter.propt_iters(query_artifact);
+        stats.filter_time = core_start.elapsed().saturating_sub(stats.refine_time);
     }
 
     /// The bare range algorithm (see [`SearchEngine::range`]) —
-    /// emission-free like [`QueryCore::knn`].
+    /// emission-free and timed like [`QueryCore::knn`].
     pub(crate) fn range<O: QueryObserver>(
         &self,
         query: &Tree,
         tau: u32,
         observer: &mut O,
-    ) -> (Vec<Neighbor>, SearchStats, u64) {
+    ) -> (Vec<Neighbor>, SearchStats) {
+        let core_start = Instant::now();
         let mut stats = self.fresh_stats();
-        let filter_start = Instant::now();
         let scale = self.cost.min_operation_cost();
         let stage_count = self.filter.stages();
         let query_artifact = self.filter.prepare_query(query);
@@ -608,7 +592,7 @@ impl<F: Filter, C: CostModel> QueryCore<'_, F, C> {
         let mut bounds: Vec<u64> = Vec::new();
         for stage in 0..stage_count {
             // Trace-only stage span (the `cascade.<stage>.us` histograms
-            // already time these sweeps via `record_metrics`): one child
+            // already time these sweeps via the stats flush): one child
             // per cascade stage under the `engine.range` span, so the
             // funnel reads straight off the trace tree.
             let mut stage_span =
@@ -649,25 +633,15 @@ impl<F: Filter, C: CostModel> QueryCore<'_, F, C> {
             stage_span.push_field("evaluated", || before.to_string());
             stage_span.push_field("pruned", || (before - survivors).to_string());
         }
-        stats.filter_time = filter_start.elapsed();
 
-        let refine_start = Instant::now();
         let query_info = TreeInfo::new(query);
         let mut workspace = ZsWorkspace::new();
-        let mut zs_nodes = 0u64;
         let mut results = Vec::new();
         for id in candidates {
             // The range radius is the refinement budget: `Some(d)` implies
             // `d ≤ τ` (a hit), `None` is exactly the old `distance > τ`
             // rejection without paying for the full DP.
-            let refined = self.refine(
-                &query_info,
-                id,
-                u64::from(tau),
-                &mut workspace,
-                &mut zs_nodes,
-                &mut stats,
-            );
+            let refined = self.refine(&query_info, id, u64::from(tau), &mut workspace, &mut stats);
             stats.refined += 1;
             match refined {
                 Some(distance) => {
@@ -677,10 +651,9 @@ impl<F: Filter, C: CostModel> QueryCore<'_, F, C> {
                 None => observer.on_refine_cutoff(id, u64::from(tau)),
             }
         }
-        stats.refine_time = refine_start.elapsed();
         results.sort_unstable_by_key(|n| (n.distance, n.tree));
-        stats.results = results.len();
-        (results, stats, zs_nodes)
+        self.finish(&mut stats, &results, &query_artifact, core_start);
+        (results, stats)
     }
 }
 

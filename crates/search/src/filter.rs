@@ -5,6 +5,8 @@
 //! Correctness contract: `lower_bound(query, t) ≤ EDist(query, t)` — the
 //! engine's completeness (no false negatives) rests on it.
 
+use std::cell::Cell;
+
 use treesim_core::{
     BranchVocab, DenseQuery, InvertedFileIndex, PositionalVector, QueryVocab, VectorArena,
 };
@@ -89,6 +91,14 @@ pub trait Filter {
                 .map(|&id| self.stage_bound(query, id, stage)),
         );
     }
+
+    /// Binary-search iterations the `propt` bound has spent on `query` so
+    /// far: the per-query count the engine reports as
+    /// [`crate::SearchStats::propt_iters`]. Filters without a `propt`
+    /// stage report 0.
+    fn propt_iters(&self, _query: &Self::Query) -> u64 {
+        0
+    }
 }
 
 /// How the binary branch filter derives its bound.
@@ -120,12 +130,60 @@ pub struct BiBranchFilter {
 pub struct BiBranchQuery {
     vector: PositionalVector,
     dense: DenseQuery,
+    /// `propt` binary-search iterations spent on this query so far.
+    propt_iters: Cell<u64>,
 }
 
 impl BiBranchQuery {
+    /// Vectorizes `query` under the dataset vocabulary `vocab`.
+    fn new(query: &Tree, vocab: &BranchVocab) -> Self {
+        let vector = PositionalVector::build_query(query, &mut QueryVocab::new(vocab));
+        let total = u64::from(vector.tree_size());
+        BiBranchQuery {
+            dense: DenseQuery::new(vocab.len(), vector.iter_counts(), total),
+            vector,
+            propt_iters: Cell::new(0),
+        }
+    }
+
     /// The query's positional vector under the dataset vocabulary.
     pub fn vector(&self) -> &PositionalVector {
         &self.vector
+    }
+
+    /// The `bdist` stage bound through `arena`'s dense shared-mass kernel
+    /// — bit-identical to the sparse merge against `vectors` (asserted
+    /// under `strict-checks`), but reads only the candidate's contiguous
+    /// slab run.
+    #[cfg_attr(not(feature = "strict-checks"), allow(unused_variables))]
+    fn bdist_bound(
+        &self,
+        arena: &VectorArena,
+        vectors: &[PositionalVector],
+        candidate: TreeId,
+    ) -> u64 {
+        let bdist = arena.bdist(candidate.index() as u32, &self.dense);
+        #[cfg(feature = "strict-checks")]
+        debug_assert_eq!(
+            bdist,
+            self.vector.bdist(&vectors[candidate.index()]),
+            "arena dense BDist diverged from the sparse merge for tree {candidate:?}"
+        );
+        treesim_core::edit_lower_bound(bdist, arena.q())
+    }
+
+    /// The `propt` bound against `data`, with observability: records how
+    /// many binary-search iterations the §4.2 probe took into the
+    /// `cascade.propt.iters` histogram and into this query's count (read
+    /// through [`Filter::propt_iters`]). [`BiBranchFilter`] and
+    /// [`PostingsFilter`] both bound through it, so every propt
+    /// evaluation is counted the same way.
+    fn propt_bound(&self, data: &PositionalVector) -> u64 {
+        let (bound, iterations) = self.vector.optimistic_bound_counted(data);
+        treesim_obs::histogram!("cascade.propt.iters").record(u64::from(iterations));
+        self.propt_iters
+            .set(self.propt_iters.get() + u64::from(iterations));
+        bound
     }
 }
 
@@ -163,32 +221,10 @@ impl BiBranchFilter {
         &self.arena
     }
 
-    /// The `bdist` stage bound through the arena's dense shared-mass
-    /// kernel — bit-identical to the sparse merge (asserted under
-    /// `strict-checks`), but reads only the candidate's contiguous slab
-    /// run.
+    /// The `bdist` stage bound (see [`BiBranchQuery::bdist_bound`]).
     fn bdist_bound(&self, query: &BiBranchQuery, candidate: TreeId) -> u64 {
-        let bdist = self.arena.bdist(candidate.index() as u32, &query.dense);
-        #[cfg(feature = "strict-checks")]
-        debug_assert_eq!(
-            bdist,
-            query.vector.bdist(&self.vectors[candidate.index()]),
-            "arena dense BDist diverged from the sparse merge for tree {candidate:?}"
-        );
-        treesim_core::edit_lower_bound(bdist, self.q())
+        query.bdist_bound(&self.arena, &self.vectors, candidate)
     }
-}
-
-/// The `propt` bound with observability: records how many binary-search
-/// iterations the §4.2 probe took into the `cascade.propt.iters`
-/// histogram and into the flight recorder's per-query thread-local
-/// accumulator. Shared by [`BiBranchFilter`] and [`PostingsFilter`] so
-/// every propt evaluation is counted the same way.
-fn propt_bound(query: &PositionalVector, data: &PositionalVector) -> u64 {
-    let (bound, iterations) = query.optimistic_bound_counted(data);
-    treesim_obs::histogram!("cascade.propt.iters").record(u64::from(iterations));
-    treesim_obs::recorder::propt_iters_add(u64::from(iterations));
-    bound
 }
 
 impl Filter for BiBranchFilter {
@@ -202,22 +238,13 @@ impl Filter for BiBranchFilter {
     }
 
     fn prepare_query(&self, query: &Tree) -> BiBranchQuery {
-        let mut query_vocab = QueryVocab::new(&self.vocab);
-        let vector = PositionalVector::build_query(query, &mut query_vocab);
-        let dense = DenseQuery::new(
-            self.vocab.len(),
-            vector.iter_counts(),
-            u64::from(vector.tree_size()),
-        );
-        BiBranchQuery { vector, dense }
+        BiBranchQuery::new(query, &self.vocab)
     }
 
     fn lower_bound(&self, query: &BiBranchQuery, candidate: TreeId) -> u64 {
         match self.mode {
             BiBranchMode::Plain => self.bdist_bound(query, candidate),
-            BiBranchMode::Positional => {
-                propt_bound(&query.vector, &self.vectors[candidate.index()])
-            }
+            BiBranchMode::Positional => query.propt_bound(&self.vectors[candidate.index()]),
         }
     }
 
@@ -248,7 +275,7 @@ impl Filter for BiBranchFilter {
                     .abs_diff(self.arena.tree_size(candidate.index() as u32)),
             ),
             1 => self.bdist_bound(query, candidate),
-            _ => propt_bound(&query.vector, &self.vectors[candidate.index()]),
+            _ => query.propt_bound(&self.vectors[candidate.index()]),
         }
     }
 
@@ -291,6 +318,10 @@ impl Filter for BiBranchFilter {
                 .vector
                 .exceeds_range(&self.vectors[candidate.index()], tau),
         }
+    }
+
+    fn propt_iters(&self, query: &BiBranchQuery) -> u64 {
+        query.propt_iters.get()
     }
 }
 
@@ -343,12 +374,12 @@ pub struct PostingsFilter {
     arena: VectorArena,
 }
 
-/// Per-query artifact of [`PostingsFilter`]: the query vector plus the
-/// merged posting table and the dense count lookup for the arena kernels.
+/// Per-query artifact of [`PostingsFilter`]: the positional query
+/// artifact the later stages share with [`BiBranchFilter`], plus the
+/// merged posting table.
 #[derive(Debug)]
 pub struct PostingsQuery {
-    vector: PositionalVector,
-    dense: DenseQuery,
+    positional: BiBranchQuery,
     /// `(tree, Σ_b min(count_q(b), count_t(b)))`, ascending by tree id;
     /// trees absent from every query posting list are absent here and
     /// share mass 0.
@@ -463,17 +494,11 @@ impl PostingsFilter {
         merged
     }
 
-    /// The `bdist` stage bound through the arena's dense shared-mass
-    /// kernel (see [`BiBranchFilter`]'s equivalent).
+    /// The `bdist` stage bound (see [`BiBranchQuery::bdist_bound`]).
     fn bdist_bound(&self, query: &PostingsQuery, candidate: TreeId) -> u64 {
-        let bdist = self.arena.bdist(candidate.index() as u32, &query.dense);
-        #[cfg(feature = "strict-checks")]
-        debug_assert_eq!(
-            bdist,
-            query.vector.bdist(&self.vectors[candidate.index()]),
-            "arena dense BDist diverged from the sparse merge for tree {candidate:?}"
-        );
-        treesim_core::edit_lower_bound(bdist, self.q())
+        query
+            .positional
+            .bdist_bound(&self.arena, &self.vectors, candidate)
     }
 
     /// The stage-0 bound: `|BRV(q)| + |BRV(t)| − 2·shared(q, t)` scaled to
@@ -490,10 +515,17 @@ impl PostingsFilter {
         let bdist_floor = query.total + u64::from(self.arena.tree_size(candidate.0)) - 2 * shared;
         #[cfg(feature = "strict-checks")]
         debug_assert!(
-            bdist_floor <= query.vector.bdist(&self.vectors[candidate.index()]),
+            bdist_floor
+                <= query
+                    .positional
+                    .vector
+                    .bdist(&self.vectors[candidate.index()]),
             "stage -1 bound {bdist_floor} above exact BDist {} for tree {candidate:?} \
              (OOV query mass must never enter shared)",
-            query.vector.bdist(&self.vectors[candidate.index()]),
+            query
+                .positional
+                .vector
+                .bdist(&self.vectors[candidate.index()]),
         );
         treesim_core::edit_lower_bound(bdist_floor, self.q())
     }
@@ -507,21 +539,20 @@ impl Filter for PostingsFilter {
     }
 
     fn prepare_query(&self, query: &Tree) -> PostingsQuery {
-        let mut query_vocab = QueryVocab::new(&self.vocab);
-        let vector = PositionalVector::build_query(query, &mut query_vocab);
-        let shared = self.shared_mass(&vector);
+        let positional = BiBranchQuery::new(query, &self.vocab);
+        let shared = self.shared_mass(&positional.vector);
         treesim_obs::histogram!("cascade.postings.candidates").record(shared.len() as u64);
-        let total = u64::from(vector.tree_size());
         PostingsQuery {
-            dense: DenseQuery::new(self.vocab.len(), vector.iter_counts(), total),
-            total,
+            total: u64::from(positional.vector.tree_size()),
             shared,
-            vector,
+            positional,
         }
     }
 
     fn lower_bound(&self, query: &PostingsQuery, candidate: TreeId) -> u64 {
-        propt_bound(&query.vector, &self.vectors[candidate.index()])
+        query
+            .positional
+            .propt_bound(&self.vectors[candidate.index()])
     }
 
     /// Cascade: the posting-merge bound, the O(1) size screen, then
@@ -547,12 +578,13 @@ impl Filter for PostingsFilter {
             0 => self.postings_bound(query, candidate),
             1 => u64::from(
                 query
+                    .positional
                     .vector
                     .tree_size()
                     .abs_diff(self.arena.tree_size(candidate.0)),
             ),
             2 => self.bdist_bound(query, candidate),
-            _ => propt_bound(&query.vector, &self.vectors[candidate.index()]),
+            _ => self.lower_bound(query, candidate),
         }
     }
 
@@ -585,7 +617,7 @@ impl Filter for PostingsFilter {
                 }));
             }
             1 => {
-                let query_size = query.vector.tree_size();
+                let query_size = query.positional.vector.tree_size();
                 out.extend(
                     candidates
                         .iter()
@@ -616,8 +648,13 @@ impl Filter for PostingsFilter {
 
     fn prunes_range(&self, query: &PostingsQuery, candidate: TreeId, tau: u32) -> bool {
         query
+            .positional
             .vector
             .exceeds_range(&self.vectors[candidate.index()], tau)
+    }
+
+    fn propt_iters(&self, query: &PostingsQuery) -> u64 {
+        query.positional.propt_iters.get()
     }
 }
 
@@ -808,6 +845,10 @@ impl<A: Filter, B: Filter> Filter for MaxFilter<A, B> {
     fn prunes_range(&self, query: &Self::Query, candidate: TreeId, tau: u32) -> bool {
         self.first.prunes_range(&query.0, candidate, tau)
             || self.second.prunes_range(&query.1, candidate, tau)
+    }
+
+    fn propt_iters(&self, query: &Self::Query) -> u64 {
+        self.first.propt_iters(&query.0) + self.second.propt_iters(&query.1)
     }
 }
 

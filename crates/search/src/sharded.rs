@@ -22,21 +22,21 @@
 //! runs the same cascade (stage names are asserted to match), so stage
 //! `s`'s merged `evaluated`/`pruned` are the sums over shards and the
 //! telescoping invariant (survivors of stage `s` = evaluated of stage
-//! `s + 1`) survives the merge. Merged queries flush under the
-//! `shard.knn.*` / `shard.range.*` metric prefixes, deposit
-//! [`QueryKind::ShardedKnn`]/[`QueryKind::ShardedRange`] flight records,
-//! and each worker runs under a `shard.worker` span with the
-//! `shard.workers.active` gauge tracking live workers.
+//! `s + 1`) survives the merge. The merged stats also sum the per-shard
+//! filter and refine times, so `shard.*.filter.us` and
+//! `shard.*.refine.us` can exceed the query's wall clock `shard.*.us`.
+//! Merged queries flush under the `shard.knn.*` / `shard.range.*` metric
+//! prefixes, deposit [`QueryKind::ShardedKnn`]/[`QueryKind::ShardedRange`]
+//! flight records, and each worker runs under a `shard.worker` span with
+//! the `shard.workers.active` gauge tracking live workers.
 //!
 //! [`PostingsFilter`]: crate::filter::PostingsFilter
 
-use std::time::Instant;
-
 use treesim_edit::UnitCost;
-use treesim_obs::recorder::{self, QueryKind};
+use treesim_obs::QueryKind;
 use treesim_tree::{Forest, Tree, TreeId};
 
-use crate::engine::{emit_record, Neighbor, QueryObserver, SearchEngine};
+use crate::engine::{observe, Neighbor, QueryObserver, SearchEngine};
 use crate::explain::{ExplainObserver, ExplainReport};
 use crate::filter::Filter;
 use crate::stats::SearchStats;
@@ -112,6 +112,15 @@ impl ShardedForest {
     }
 }
 
+/// A sharded query and its parameter.
+#[derive(Debug, Clone, Copy)]
+enum Ask {
+    /// k nearest neighbors.
+    Knn(usize),
+    /// Every tree within edit distance τ.
+    Range(u32),
+}
+
 /// A search engine running one [`SearchEngine`] per shard on scoped
 /// worker threads and merging the per-shard answers. Results are
 /// bit-identical to a single engine over the unsplit forest with the
@@ -170,14 +179,14 @@ impl<'a, F: Filter + Send + Sync> ShardedEngine<'a, F> {
     /// k-nearest neighbors over all shards; same contract as
     /// [`SearchEngine::knn`] on the unsplit forest.
     pub fn knn(&self, query: &Tree, k: usize) -> (Vec<Neighbor>, SearchStats) {
-        let (results, stats, _) = self.knn_merged(query, k, || ());
+        let (results, stats, _) = self.merged(query, Ask::Knn(k), || ());
         (results, stats)
     }
 
     /// Range query over all shards; same contract as
     /// [`SearchEngine::range`] on the unsplit forest.
     pub fn range(&self, query: &Tree, tau: u32) -> (Vec<Neighbor>, SearchStats) {
-        let (results, stats, _) = self.range_merged(query, tau, || ());
+        let (results, stats, _) = self.merged(query, Ask::Range(tau), || ());
         (results, stats)
     }
 
@@ -190,7 +199,7 @@ impl<'a, F: Filter + Send + Sync> ShardedEngine<'a, F> {
         // assembled (the replay's own start is then inert).
         let trace = treesim_obs::trace::start_trace();
         let trace_id = trace.id();
-        let (results, stats, observers) = self.knn_merged(query, k, ExplainObserver::new);
+        let (results, stats, observers) = self.merged(query, Ask::Knn(k), ExplainObserver::new);
         let candidates = self.merge_candidates(observers, &results, |_, _| 0);
         ExplainReport {
             kind: "knn",
@@ -211,7 +220,7 @@ impl<'a, F: Filter + Send + Sync> ShardedEngine<'a, F> {
         // Trace ownership as in `explain_knn`.
         let trace = treesim_obs::trace::start_trace();
         let trace_id = trace.id();
-        let (results, stats, observers) = self.range_merged(query, tau, ExplainObserver::new);
+        let (results, stats, observers) = self.merged(query, Ask::Range(tau), ExplainObserver::new);
         // Recompute final-stage bounds for predicate-pruned rows, per
         // shard (display only — the replay stats are already final). The
         // engines are unit-cost, so no bound scaling applies.
@@ -237,19 +246,18 @@ impl<'a, F: Filter + Send + Sync> ShardedEngine<'a, F> {
         }
     }
 
-    /// Runs `run` once per shard on scoped worker threads, pairing each
-    /// shard's return value with the `propt` iteration count its worker
-    /// accumulated (the thread-local accumulator is cleared on entry, so
-    /// the count is exactly this query's).
-    fn run_shards<R, Run>(&self, run: Run) -> Vec<(R, u64)>
+    /// Runs `run` once per shard on scoped worker threads and returns the
+    /// per-shard outputs in shard order.
+    fn run_shards<R, Run>(&self, run: Run) -> Vec<R>
     where
         R: Send,
         Run: Fn(&SearchEngine<'a, F, UnitCost>) -> R + Sync,
     {
         let active = treesim_obs::gauge!("shard.workers.active");
-        // Carry the caller's trace (started in `knn_merged`/`range_merged`)
-        // onto the shard workers: each worker's spans land under the query
-        // span with the 1-based shard index as the Chrome-trace `pid`.
+        // Carry the caller's trace (started by the merged query's
+        // emitter) onto the shard workers: each worker's spans land under
+        // the query span with the 1-based shard index as the Chrome-trace
+        // `pid`.
         let trace_handle = treesim_obs::trace::current_handle();
         std::thread::scope(|scope| {
             let run = &run;
@@ -267,11 +275,9 @@ impl<'a, F: Filter + Send + Sync> ShardedEngine<'a, F> {
                             trees = engine.forest().len()
                         );
                         active.add(1);
-                        recorder::propt_iters_take(); // fresh per-worker accumulator
                         let out = run(engine);
-                        let iters = recorder::propt_iters_take();
                         active.sub(1);
-                        (out, iters)
+                        out
                     })
                 })
                 .collect();
@@ -282,156 +288,74 @@ impl<'a, F: Filter + Send + Sync> ShardedEngine<'a, F> {
         })
     }
 
-    /// The shared k-NN pipeline: fan out, merge results and stats, emit.
+    /// The sharded query pipeline under its `shard.knn` / `shard.range`
+    /// emission: run `ask` on every shard's core, merge, and keep the best
+    /// `k` results of a k-NN query. Each shard returned its own top-k, and
+    /// sorting the union by (distance, global id) before truncating
+    /// reproduces the single-engine tie-breaking because shard id ranges
+    /// are contiguous and ascending; range queries keep the whole union.
     /// Returns the per-shard observers (in shard order) for EXPLAIN.
-    fn knn_merged<O>(
+    fn merged<O>(
         &self,
         query: &Tree,
-        k: usize,
+        ask: Ask,
         make: impl Fn() -> O + Sync,
     ) -> (Vec<Neighbor>, SearchStats, Vec<O>)
     where
         O: QueryObserver + Send,
     {
-        // Trace before span: the `shard.knn` span (and the worker spans
-        // under it) must deposit before the guard finalizes the tree.
-        let _trace = treesim_obs::trace::start_trace();
-        let _span = treesim_obs::span!(
-            "shard.knn",
-            k = k,
-            shards = self.engines.len(),
-            dataset = self.total
-        );
-        let wall_start = Instant::now();
-        let per_shard = self.run_shards(|engine| {
-            let mut observer = make();
-            let (results, stats, zs_nodes) = engine.core().knn(query, k, &mut observer);
-            (results, stats, zs_nodes, observer)
+        let (kind, param, limit) = match ask {
+            Ask::Knn(k) => (QueryKind::ShardedKnn, k as u64, k),
+            Ask::Range(tau) => (QueryKind::ShardedRange, u64::from(tau), usize::MAX),
+        };
+        let mut observers = Vec::new();
+        let shards = Some(self.engines.len());
+        let (results, stats) = observe(kind, param, self.total, shards, || {
+            let per_shard = self.run_shards(|engine| {
+                let mut observer = make();
+                let (results, stats) = match ask {
+                    Ask::Knn(k) => engine.core().knn(query, k, &mut observer),
+                    Ask::Range(tau) => engine.core().range(query, tau, &mut observer),
+                };
+                (results, stats, observer)
+            });
+            let _merge_span = treesim_obs::trace::span("shard.merge");
+            let (mut results, mut stats, shard_observers) = self.merge(per_shard);
+            results.sort_unstable_by_key(|n| (n.distance, n.tree));
+            results.truncate(limit);
+            stats.results = results.len();
+            observers = shard_observers;
+            (results, stats)
         });
-        let merge_span = treesim_obs::trace::span("shard.merge");
-        let (mut results, stats, zs_nodes, observers) = self.merge(per_shard);
-        // Each shard returned its own top-k; sorting the union by
-        // (distance, global id) and truncating reproduces the
-        // single-engine tie-breaking because shard id ranges are
-        // contiguous and ascending.
-        results.sort_unstable_by_key(|n| (n.distance, n.tree));
-        results.truncate(k);
-        drop(merge_span);
-        let mut stats = stats;
-        stats.results = results.len();
-        stats.record_metrics("shard.knn");
-        emit_record(
-            QueryKind::ShardedKnn,
-            k as u64,
-            &stats,
-            &results,
-            zs_nodes,
-            wall_start.elapsed(),
-        );
         (results, stats, observers)
     }
 
-    /// The shared range pipeline, mirroring [`ShardedEngine::knn_merged`].
-    fn range_merged<O>(
-        &self,
-        query: &Tree,
-        tau: u32,
-        make: impl Fn() -> O + Sync,
-    ) -> (Vec<Neighbor>, SearchStats, Vec<O>)
-    where
-        O: QueryObserver + Send,
-    {
-        // Trace before span, as in `knn_merged`.
-        let _trace = treesim_obs::trace::start_trace();
-        let _span = treesim_obs::span!(
-            "shard.range",
-            tau = tau,
-            shards = self.engines.len(),
-            dataset = self.total
-        );
-        let wall_start = Instant::now();
-        let per_shard = self.run_shards(|engine| {
-            let mut observer = make();
-            let (results, stats, zs_nodes) = engine.core().range(query, tau, &mut observer);
-            (results, stats, zs_nodes, observer)
-        });
-        let merge_span = treesim_obs::trace::span("shard.merge");
-        let (mut results, stats, zs_nodes, observers) = self.merge(per_shard);
-        results.sort_unstable_by_key(|n| (n.distance, n.tree));
-        drop(merge_span);
-        let mut stats = stats;
-        stats.results = results.len();
-        stats.record_metrics("shard.range");
-        emit_record(
-            QueryKind::ShardedRange,
-            u64::from(tau),
-            &stats,
-            &results,
-            zs_nodes,
-            wall_start.elapsed(),
-        );
-        (results, stats, observers)
-    }
-
-    /// Merges per-shard outputs: remaps neighbor ids to global, sums the
-    /// stats funnels (shards run identical cascades, so the telescoping
-    /// invariant survives the sum), totals the refinement volume, and
-    /// re-deposits the summed `propt` iteration count into this thread's
-    /// accumulator so `emit_record` picks it up.
-    ///
-    /// [`SearchStats::accumulate`] is deliberately *not* used here: it
-    /// models many queries against one dataset, whereas this is one query
-    /// against many dataset *partitions* (different per-shard
-    /// `dataset_size`s, and `results` must come from the merged set).
-    #[allow(clippy::type_complexity)]
+    /// Merges per-shard outputs: remaps neighbor ids to global and sums
+    /// the per-shard work ([`SearchStats::add_work`]; shards run identical
+    /// cascades, so the telescoping invariant survives the sum). The
+    /// merged `dataset_size` is the whole forest and `results` is left for
+    /// the caller to take from the merged result set.
     fn merge<O>(
         &self,
-        per_shard: Vec<((Vec<Neighbor>, SearchStats, u64, O), u64)>,
-    ) -> (Vec<Neighbor>, SearchStats, u64, Vec<O>) {
+        per_shard: Vec<(Vec<Neighbor>, SearchStats, O)>,
+    ) -> (Vec<Neighbor>, SearchStats, Vec<O>) {
         let mut stats = SearchStats {
             dataset_size: self.total,
             threads: self.engines.len().max(1),
             ..Default::default()
         };
         let mut results = Vec::new();
-        let mut zs_total = 0u64;
-        let mut propt_total = 0u64;
         let mut observers = Vec::with_capacity(per_shard.len());
-        for (shard, ((shard_results, shard_stats, zs_nodes, observer), propt_iters)) in
-            per_shard.into_iter().enumerate()
-        {
+        for (shard, (shard_results, shard_stats, observer)) in per_shard.into_iter().enumerate() {
             let base = self.bases[shard];
             results.extend(shard_results.into_iter().map(|n| Neighbor {
                 tree: TreeId(base + n.tree.0),
                 distance: n.distance,
             }));
-            stats.refined += shard_stats.refined;
-            stats.refine_cutoffs += shard_stats.refine_cutoffs;
-            stats.refine_bands_skipped += shard_stats.refine_bands_skipped;
-            stats.filter_time += shard_stats.filter_time;
-            stats.refine_time += shard_stats.refine_time;
-            if stats.stages.is_empty() {
-                stats.stages = shard_stats.stages;
-            } else {
-                assert_eq!(
-                    stats.stages.len(),
-                    shard_stats.stages.len(),
-                    "shards ran different cascades"
-                );
-                for (mine, theirs) in stats.stages.iter_mut().zip(&shard_stats.stages) {
-                    assert_eq!(mine.name, theirs.name, "shard cascade stage order diverged");
-                    mine.evaluated += theirs.evaluated;
-                    mine.pruned += theirs.pruned;
-                    mine.time += theirs.time;
-                }
-            }
-            zs_total += zs_nodes;
-            propt_total += propt_iters;
+            stats.add_work(&shard_stats);
             observers.push(observer);
         }
-        recorder::propt_iters_take(); // drop the merger thread's stale state
-        recorder::propt_iters_add(propt_total);
-        (results, stats, zs_total, observers)
+        (results, stats, observers)
     }
 
     /// Stitches per-shard EXPLAIN rows into one globally-id'd candidate

@@ -1,14 +1,23 @@
 //! Per-query statistics — the quantities reported in the paper's figures,
 //! plus per-stage observability for the staged bound cascade.
 //!
-//! [`SearchStats`] is the *per-call* record handed back with every query;
-//! [`SearchStats::record_metrics`] additionally flushes it into the global
-//! `treesim-obs` registry so long-running processes accumulate
-//! process-wide funnels (`cascade.<stage>.evaluated`/`.pruned`) and
-//! latency histograms without holding onto individual stats.
+//! [`SearchStats`] is the one *per-call* record handed back with every
+//! query. The global `treesim-obs` registry and the flight recorder are
+//! projections of it: after each query the emitter flushes the stats into
+//! the registry (`SearchStats::flush`, so long-running processes
+//! accumulate process-wide funnels and latency histograms) and deposits
+//! the flight record built from the same stats
+//! (`SearchStats::flight_record`).
 
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::Duration;
+
+use treesim_obs::metrics::{counter, histogram};
+use treesim_obs::naming::CASCADE_STAGES;
+use treesim_obs::{Counter, Histogram, QueryKind, QueryRecord};
+
+use crate::engine::Neighbor;
 
 /// Measurements for one stage of the lower-bound cascade.
 ///
@@ -154,11 +163,20 @@ pub struct SearchStats {
     /// DP cells the bounded refinement skipped via its band / subproblem
     /// pruning, summed over this query's refinements.
     pub refine_bands_skipped: u64,
+    /// Effective Zhang–Shasha problem size refined: per refinement, the
+    /// nodes on both sides scaled by the fraction of DP cells the bounded
+    /// DP evaluated, summed over this query's refinements.
+    pub zs_nodes: u64,
+    /// Binary-search iterations the `propt` bounds of this query took.
+    pub propt_iters: u64,
     /// Trees in the final result set (true positives).
     pub results: usize,
-    /// Time spent computing lower bounds (all cascade stages).
+    /// Query time outside refinement: the query core's wall-clock minus
+    /// [`SearchStats::refine_time`] (query preparation, every cascade
+    /// stage, result assembly).
     pub filter_time: Duration,
-    /// Time spent computing real edit distances.
+    /// Time spent computing real edit distances: the sum of the
+    /// per-refinement durations.
     pub refine_time: Duration,
     /// Per-stage cascade breakdown, coarsest stage first. Empty for
     /// engines that do not run a cascade.
@@ -179,6 +197,8 @@ impl Default for SearchStats {
             refined: 0,
             refine_cutoffs: 0,
             refine_bands_skipped: 0,
+            zs_nodes: 0,
+            propt_iters: 0,
             results: 0,
             filter_time: Duration::ZERO,
             refine_time: Duration::ZERO,
@@ -227,9 +247,10 @@ impl SearchStats {
     /// # Panics
     ///
     /// Panics if both sides carry a non-zero `dataset_size` and they
-    /// disagree (mixing stats from different datasets). A zero
-    /// `dataset_size` means "not yet attributed" (the `Default`
-    /// accumulator) and adopts the other side's size.
+    /// disagree (mixing stats from different datasets), or if both carry
+    /// a funnel from different cascades. A zero `dataset_size` means "not
+    /// yet attributed" (the `Default` accumulator) and adopts the other
+    /// side's size.
     pub fn accumulate(&mut self, other: &SearchStats) {
         if self.dataset_size == 0 {
             self.dataset_size = other.dataset_size;
@@ -239,12 +260,8 @@ impl SearchStats {
                 "accumulating stats from different datasets"
             );
         }
-        self.refined += other.refined;
-        self.refine_cutoffs += other.refine_cutoffs;
-        self.refine_bands_skipped += other.refine_bands_skipped;
+        self.add_work(other);
         self.results += other.results;
-        self.filter_time += other.filter_time;
-        self.refine_time += other.refine_time;
         self.threads = self.threads.max(other.threads);
         if other.latency.is_empty() {
             // `other` is one query's stats: its total time is one sample.
@@ -254,13 +271,34 @@ impl SearchStats {
             // `other` is itself an accumulator: merge its distribution.
             self.latency.merge(&other.latency);
         }
+    }
+
+    /// Sums `other`'s work into `self`: the refinement counters, the
+    /// `propt` iterations, both times and, stage by stage, the cascade
+    /// funnel (an empty funnel adopts `other`'s). Shared by
+    /// [`SearchStats::accumulate`] (many queries, one dataset) and the
+    /// sharded merge (one query, many partitions), which each keep their
+    /// own `dataset_size` and `results` rules.
+    ///
+    /// # Panics
+    ///
+    /// Panics if both sides carry a funnel and the cascades differ in
+    /// length or stage order.
+    pub(crate) fn add_work(&mut self, other: &SearchStats) {
+        self.refined += other.refined;
+        self.refine_cutoffs += other.refine_cutoffs;
+        self.refine_bands_skipped += other.refine_bands_skipped;
+        self.zs_nodes += other.zs_nodes;
+        self.propt_iters += other.propt_iters;
+        self.filter_time += other.filter_time;
+        self.refine_time += other.refine_time;
         if self.stages.is_empty() {
             self.stages = other.stages.clone();
         } else if !other.stages.is_empty() {
             assert_eq!(
                 self.stages.len(),
                 other.stages.len(),
-                "accumulating stats from different cascades"
+                "summing stats from different cascades"
             );
             for (mine, theirs) in self.stages.iter_mut().zip(&other.stages) {
                 assert_eq!(mine.name, theirs.name, "cascade stage order changed");
@@ -271,28 +309,64 @@ impl SearchStats {
         }
     }
 
-    /// Flushes this query's counters into the global `treesim-obs`
-    /// registry under `prefix` (`"engine.knn"`, `"engine.range"`,
-    /// `"dynamic.knn"`, …): per-prefix query/refined/result counters and
-    /// filter/refine latency histograms, plus the shared per-stage funnel
-    /// counters `cascade.<stage>.evaluated` / `cascade.<stage>.pruned`
-    /// and `cascade.<stage>.us` time histograms.
+    /// The registry projection: flushes this query's numbers under
+    /// `kind`'s metric prefix (`engine.knn`, `dynamic.range`, `shard.knn`,
+    /// …) — the per-prefix query/refined/cutoff/result counters and
+    /// filter/refine latency histograms, the shared per-stage funnel
+    /// (`cascade.<stage>.evaluated` / `.pruned` counters and `.us`
+    /// histograms) and the `refine.bounded.{cutoffs,bands_skipped}`
+    /// counters.
     ///
-    /// Metric recording never changes query results; it only accumulates
-    /// what already happened.
-    pub fn record_metrics(&self, prefix: &str) {
-        use treesim_obs::metrics::{counter, histogram};
-        counter(&format!("{prefix}.queries")).inc();
-        counter(&format!("{prefix}.refined")).add(self.refined as u64);
-        counter(&format!("{prefix}.cutoffs")).add(self.refine_cutoffs as u64);
-        counter(&format!("{prefix}.results")).add(self.results as u64);
-        histogram(&format!("{prefix}.filter.us")).record_duration(self.filter_time);
-        histogram(&format!("{prefix}.refine.us")).record_duration(self.refine_time);
+    /// Handles are resolved once per kind and per stage, so a flush
+    /// formats nothing and takes no registry lock.
+    pub(crate) fn flush(&self, kind: QueryKind) {
+        let metrics = KindMetrics::of(kind);
+        metrics.queries.inc();
+        metrics.refined.add(self.refined as u64);
+        metrics.cutoffs.add(self.refine_cutoffs as u64);
+        metrics.results.add(self.results as u64);
+        metrics.filter_us.record_duration(self.filter_time);
+        metrics.refine_us.record_duration(self.refine_time);
         for stage in &self.stages {
-            counter(&format!("cascade.{}.evaluated", stage.name)).add(stage.evaluated as u64);
-            counter(&format!("cascade.{}.pruned", stage.name)).add(stage.pruned as u64);
-            histogram(&format!("cascade.{}.us", stage.name)).record_duration(stage.time);
+            let funnel = StageMetrics::of(stage.name);
+            funnel.evaluated.add(stage.evaluated as u64);
+            funnel.pruned.add(stage.pruned as u64);
+            funnel.us.record_duration(stage.time);
         }
+        // Registered by the first refinement and the first cutoff.
+        if self.refined > 0 {
+            treesim_obs::counter!("refine.bounded.bands_skipped").add(self.refine_bands_skipped);
+        }
+        if self.refine_cutoffs > 0 {
+            treesim_obs::counter!("refine.bounded.cutoffs").add(self.refine_cutoffs as u64);
+        }
+    }
+
+    /// The flight-recorder projection: the record of a `kind` query with
+    /// parameter `param` (`k` or `τ`) that answered `results` in `wall`.
+    pub(crate) fn flight_record(
+        &self,
+        kind: QueryKind,
+        param: u64,
+        results: &[Neighbor],
+        wall: Duration,
+    ) -> QueryRecord {
+        let mut record = QueryRecord::new(kind);
+        record.param = param;
+        record.dataset = self.dataset_size as u64;
+        for stage in &self.stages {
+            record.push_stage(stage.name, stage.evaluated as u64, stage.pruned as u64);
+        }
+        record.propt_iters = self.propt_iters;
+        record.refined = self.refined as u64;
+        record.refine_cutoffs = self.refine_cutoffs as u64;
+        record.bands_skipped = self.refine_bands_skipped;
+        record.zs_nodes = self.zs_nodes;
+        record.results = self.results as u64;
+        record.best = results.first().map(|n| n.distance);
+        record.worst = results.last().map(|n| n.distance);
+        record.wall_us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
+        record
     }
 
     /// Divides accumulated counters by the number of queries.
@@ -319,6 +393,79 @@ impl SearchStats {
                 .collect(),
             latency: self.latency.clone(),
         }
+    }
+}
+
+/// The span name and metric prefix of each query kind.
+pub(crate) fn kind_name(kind: QueryKind) -> &'static str {
+    match kind {
+        QueryKind::Knn => "engine.knn",
+        QueryKind::Range => "engine.range",
+        QueryKind::DynamicKnn => "dynamic.knn",
+        QueryKind::DynamicRange => "dynamic.range",
+        QueryKind::ShardedKnn => "shard.knn",
+        QueryKind::ShardedRange => "shard.range",
+    }
+}
+
+/// Registry handles of one query kind: its span histogram and what
+/// [`SearchStats::flush`] feeds under its prefix.
+pub(crate) struct KindMetrics {
+    /// `<prefix>.us`, the query span's histogram.
+    pub(crate) span_us: &'static Histogram,
+    queries: &'static Counter,
+    refined: &'static Counter,
+    cutoffs: &'static Counter,
+    results: &'static Counter,
+    filter_us: &'static Histogram,
+    refine_us: &'static Histogram,
+}
+
+impl KindMetrics {
+    /// `kind`'s handles, resolved by its first query.
+    pub(crate) fn of(kind: QueryKind) -> &'static KindMetrics {
+        static KINDS: [OnceLock<KindMetrics>; QueryKind::ALL.len()] =
+            [const { OnceLock::new() }; QueryKind::ALL.len()];
+        KINDS[kind.index()].get_or_init(|| {
+            let prefix = kind_name(kind);
+            KindMetrics {
+                span_us: histogram(&format!("{prefix}.us")),
+                queries: counter(&format!("{prefix}.queries")),
+                refined: counter(&format!("{prefix}.refined")),
+                cutoffs: counter(&format!("{prefix}.cutoffs")),
+                results: counter(&format!("{prefix}.results")),
+                filter_us: histogram(&format!("{prefix}.filter.us")),
+                refine_us: histogram(&format!("{prefix}.refine.us")),
+            }
+        })
+    }
+}
+
+/// Registry handles of one cascade stage's funnel.
+struct StageMetrics {
+    evaluated: &'static Counter,
+    pruned: &'static Counter,
+    us: &'static Histogram,
+}
+
+impl StageMetrics {
+    /// The handles of stage `name`, resolved by its first flush. Stage
+    /// names come from [`CASCADE_STAGES`] (the metric-name contract); an
+    /// unknown name counts as the generic `scan` stage, as its trace span
+    /// does.
+    fn of(name: &str) -> &'static StageMetrics {
+        static STAGES: [OnceLock<StageMetrics>; CASCADE_STAGES.len()] =
+            [const { OnceLock::new() }; CASCADE_STAGES.len()];
+        let position = |wanted: &str| CASCADE_STAGES.iter().position(|&s| s == wanted);
+        let index = position(name).or_else(|| position("scan")).unwrap_or(0);
+        STAGES[index].get_or_init(|| {
+            let stage = CASCADE_STAGES[index];
+            StageMetrics {
+                evaluated: counter(&format!("cascade.{stage}.evaluated")),
+                pruned: counter(&format!("cascade.{stage}.pruned")),
+                us: histogram(&format!("cascade.{stage}.us")),
+            }
+        })
     }
 }
 
@@ -553,11 +700,14 @@ mod tests {
                 refined: 10,
                 refine_cutoffs: cutoffs,
                 refine_bands_skipped: bands,
+                zs_nodes: bands * 2,
+                propt_iters: bands + 1,
                 ..Default::default()
             });
         }
         assert_eq!(total.refine_cutoffs, 5);
         assert_eq!(total.refine_bands_skipped, 57);
+        assert_eq!((total.zs_nodes, total.propt_iters), (114, 59));
         let rendered = format!("{total}");
         assert!(
             rendered.contains("5 refinements cut off") && rendered.contains("57 cells skipped"),
@@ -588,6 +738,8 @@ mod tests {
             refined: 10,
             refine_cutoffs: 0,
             refine_bands_skipped: 0,
+            zs_nodes: 0,
+            propt_iters: 0,
             results: 5,
             filter_time: Duration::from_micros(120),
             refine_time: Duration::from_micros(480),
@@ -627,10 +779,34 @@ mod tests {
     }
 
     #[test]
-    fn record_metrics_accumulates_funnel_counters() {
+    fn flush_and_flight_record_project_the_stats() {
+        // Handles resolve once per kind and per stage, under the names the
+        // per-query format! calls used to build.
+        for kind in QueryKind::ALL {
+            let metrics = KindMetrics::of(kind);
+            assert!(std::ptr::eq(metrics, KindMetrics::of(kind)));
+            assert_eq!(
+                metrics.queries.name(),
+                format!("{}.queries", kind_name(kind))
+            );
+            assert_eq!(metrics.span_us.name(), format!("{}.us", kind_name(kind)));
+        }
+        assert_eq!(
+            StageMetrics::of("propt").evaluated.name(),
+            "cascade.propt.evaluated"
+        );
+        assert_eq!(
+            StageMetrics::of("unknown").pruned.name(),
+            "cascade.scan.pruned"
+        );
+
         let stats = SearchStats {
             dataset_size: 100,
             refined: 7,
+            refine_cutoffs: 2,
+            refine_bands_skipped: 40,
+            zs_nodes: 90,
+            propt_iters: 33,
             results: 3,
             stages: vec![
                 StageStats {
@@ -649,18 +825,65 @@ mod tests {
             ..Default::default()
         };
         let before = treesim_obs::metrics::snapshot();
-        stats.record_metrics("test.stats");
+        stats.flush(QueryKind::DynamicRange);
         let after = treesim_obs::metrics::snapshot();
-        assert_eq!(after.counter_delta(&before, "test.stats.queries"), 1);
-        assert_eq!(after.counter_delta(&before, "test.stats.refined"), 7);
-        assert_eq!(after.counter_delta(&before, "test.stats.results"), 3);
-        // The shared cascade funnel counters may also be bumped by engine
-        // tests running in parallel, so deltas are lower bounds here.
-        assert!(after.counter_delta(&before, "cascade.size.evaluated") >= 100);
-        assert!(after.counter_delta(&before, "cascade.propt.pruned") >= 13);
+        // Engine tests running in parallel bump the same registry, so
+        // deltas are lower bounds here (obs_metrics.rs checks them exactly).
+        for (name, at_least) in [
+            ("dynamic.range.queries", 1),
+            ("dynamic.range.refined", 7),
+            ("dynamic.range.cutoffs", 2),
+            ("dynamic.range.results", 3),
+            ("cascade.size.evaluated", 100),
+            ("cascade.propt.pruned", 13),
+            ("refine.bounded.cutoffs", 2),
+            ("refine.bounded.bands_skipped", 40),
+        ] {
+            assert!(after.counter_delta(&before, name) >= at_least, "{name}");
+        }
         assert!(after
-            .histogram("test.stats.filter.us")
+            .histogram("dynamic.range.filter.us")
             .is_some_and(|h| h.count >= 1));
+
+        let neighbors = [
+            Neighbor {
+                tree: treesim_tree::TreeId(4),
+                distance: 1,
+            },
+            Neighbor {
+                tree: treesim_tree::TreeId(2),
+                distance: 5,
+            },
+        ];
+        let record = stats.flight_record(
+            QueryKind::DynamicRange,
+            9,
+            &neighbors,
+            Duration::from_micros(77),
+        );
+        assert_eq!(record.kind, QueryKind::DynamicRange);
+        assert_eq!((record.param, record.dataset), (9, 100));
+        assert_eq!(
+            record
+                .stages()
+                .iter()
+                .map(|s| (s.name, s.evaluated, s.pruned))
+                .collect::<Vec<_>>(),
+            vec![("size", 100, 80), ("propt", 20, 13)]
+        );
+        assert_eq!(
+            (
+                record.propt_iters,
+                record.refined,
+                record.refine_cutoffs,
+                record.bands_skipped,
+                record.zs_nodes,
+                record.results
+            ),
+            (33, 7, 2, 40, 90, 3)
+        );
+        assert_eq!((record.best, record.worst), (Some(1), Some(5)));
+        assert_eq!(record.wall_us, 77);
     }
 
     #[test]

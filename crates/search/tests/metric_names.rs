@@ -33,16 +33,15 @@ fn sample_forest() -> Forest {
     forest
 }
 
-/// Runs knn, range and batch queries through `filter`'s cascade.
+/// Runs knn, range and batch queries through `filter`'s cascade (each
+/// query flushes its stats into the registry).
 fn drive_engine<F: Filter + Sync>(forest: &Forest, filter: F) {
     let engine = SearchEngine::new(forest, filter);
     let query = forest.tree(treesim_tree::TreeId(0));
-    let (knn, knn_stats) = engine.knn(query, 3);
+    let (knn, _) = engine.knn(query, 3);
     assert!(!knn.is_empty());
-    knn_stats.record_metrics("engine.knn");
-    let (range, range_stats) = engine.range(query, 2);
+    let (range, _) = engine.range(query, 2);
     assert!(!range.is_empty());
-    range_stats.record_metrics("engine.range");
     let batch = engine.knn_batch(&[query, forest.tree(treesim_tree::TreeId(3))], 2);
     assert_eq!(batch.len(), 2);
 }
@@ -66,12 +65,10 @@ fn every_emitted_metric_name_parses_under_the_grammar() {
     let sharded = ShardedForest::split(&forest, 3);
     let engine = ShardedEngine::new(&sharded, |shard| PostingsFilter::build(shard, 2));
     let query = forest.tree(treesim_tree::TreeId(0));
-    let (hits, stats) = engine.knn(query, 3);
+    let (hits, _) = engine.knn(query, 3);
     assert!(!hits.is_empty());
-    stats.record_metrics("shard.knn");
-    let (hits, stats) = engine.range(query, 2);
+    let (hits, _) = engine.range(query, 2);
     assert!(!hits.is_empty());
-    stats.record_metrics("shard.range");
     let report = engine.explain_knn(query, 2);
     report
         .check_consistency()
@@ -81,10 +78,8 @@ fn every_emitted_metric_name_parses_under_the_grammar() {
     for spec in ["a(b c)", "a(b(c) c)", "a(c)"] {
         index.push_bracket(spec).expect("valid bracket spec");
     }
-    let (_, stats) = index.knn(forest.tree(treesim_tree::TreeId(0)), 2);
-    stats.record_metrics("dynamic.knn");
-    let (_, stats) = index.range(forest.tree(treesim_tree::TreeId(0)), 3);
-    stats.record_metrics("dynamic.range");
+    index.knn(forest.tree(treesim_tree::TreeId(0)), 2);
+    index.range(forest.tree(treesim_tree::TreeId(0)), 3);
 
     // The SLO engine's published series: the full `<op>.errors` catalog
     // plus the `slo.*` gauges minted by an evaluation over the traffic
